@@ -129,12 +129,15 @@ int main() {
   std::printf("\nLinkBench mixed workload (100 queries/type):\n");
   std::printf("%-24s %18s %18s %9s\n", "Variant", "mean us", "tables/query",
               "");
-  for (auto [name, options] :
-       {std::pair<const char*, RuntimeOptions>{"all-on", RuntimeOptions{}},
-        std::pair<const char*, RuntimeOptions>{"all-off",
-                                               RuntimeOptions::AllOff()}}) {
+  for (bool naive : {false, true}) {
+    const char* name = naive ? "all-off" : "all-on";
     Db2Graph::Options graph_options;
-    graph_options.runtime = options;
+    if (naive) {
+      // The naive executor also runs materialized and row-at-a-time.
+      graph_options.runtime = RuntimeOptions::AllOff();
+      graph_options.exec =
+          db2graph::ExecConfig().streaming(false).vectorized(false);
+    }
     auto graph = Db2Graph::Open(
         &db, db2graph::linkbench::MakePartitionedOverlay(true),
         graph_options);

@@ -779,9 +779,10 @@ int main() {
   // accounting charges and releases — the worst honest case for a query
   // that never violates anything.
   db2graph::core::ExecOptions governed_options;
-  governed_options.timeout_ms = 600000;
-  governed_options.max_result_rows = 100000000;
-  governed_options.max_memory_bytes = int64_t{16} << 30;
+  governed_options.config = db2graph::ExecConfig()
+                               .timeout_ms(600000)
+                               .max_result_rows(100000000)
+                               .max_memory_bytes(int64_t{16} << 30);
   double ungoverned_best = 0;
   double governed_best = 0;
   for (int round = 0; round < kRounds; ++round) {

@@ -31,7 +31,14 @@ ExecConfig SeedFromEnvironment() {
   bool flag = false;
   if (env_bool("DB2G_VECTORIZED", &flag)) config = config.vectorized(flag);
   if (env_bool("DB2G_STREAMING", &flag)) config = config.streaming(flag);
-  return config;
+  // Governor limits; an absent or empty variable leaves the limit unset.
+  auto env_int64 = [](const char* name) -> int64_t {
+    const char* env = std::getenv(name);
+    return env == nullptr ? 0 : std::strtoll(env, nullptr, 10);
+  };
+  return config.timeout_ms(env_int64("DB2G_QUERY_TIMEOUT_MS"))
+      .max_result_rows(env_int64("DB2G_MAX_RESULT_ROWS"))
+      .max_memory_bytes(env_int64("DB2G_MAX_MEMORY_BYTES"));
 }
 
 ExecConfig& ProcessDefaultLocked() {

@@ -1,20 +1,20 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// ExecConfig: the one execution-tuning surface. Before it, every feature
-// added its own toggle — RuntimeOptions::streaming_execution /
-// vectorized_execution, Database::set_vectorized_execution /
-// set_profile_execution, the governor's env-seeded defaults — and a
-// degree-of-parallelism knob would have been a ninth setter. ExecConfig
-// replaces them with one immutable, builder-style value:
+// ExecConfig: the one execution-tuning and governance surface. Every
+// setting a query runs under — degree of parallelism, vectorized and
+// streaming execution, block size, profiling, and the workload
+// governor's three limits — is one field of one immutable, builder-style
+// value:
 //
-//   ExecConfig cfg = ExecConfig().parallelism(4).vectorized(true);
+//   ExecConfig cfg = ExecConfig().parallelism(4).timeout_ms(500);
 //
 // Each field is tri-state: explicitly set, or unset ("inherit"). A query
 // resolves its effective config by overlaying, in order:
 //
 //   engine defaults <- ExecConfig::ProcessDefault() <- session config
 //       (Database::SetExecConfig / Db2Graph::Options::exec) <- per-call
-//       ExecOptions::config
+//       ExecOptions::config (GremlinService::Options::exec for service
+//       requests)
 //
 // ...so an unset field at one layer falls through to the layer below.
 // The per-query result travels thread-locally via ScopedExecConfig (the
@@ -22,9 +22,10 @@
 // how a Gremlin execution's config reaches the SQL compiles it issues
 // deep inside the provider without signature plumbing.
 //
-// Governor limits ride along (timeout/rows/bytes follow the governor's
-// 0 = inherit, negative = unlimited convention); ResolveLimits still
-// interprets them, ExecConfig only carries them.
+// Governor limits (timeout / result rows / memory bytes): 0 leaves the
+// field unset, so it inherits from the layer below; a negative value
+// makes that layer unlimited; a positive value is the limit. The
+// resolved getters report the effective limit, 0 meaning none.
 
 #ifndef DB2GRAPH_COMMON_EXEC_CONFIG_H_
 #define DB2GRAPH_COMMON_EXEC_CONFIG_H_
@@ -84,23 +85,24 @@ class ExecConfig {
     c.has_block_rows_ = true;
     return c;
   }
-  /// Governor limits (0 = inherit process default, negative = unlimited).
+  /// Governor limits: 0 = unset (inherit the layer below), negative =
+  /// unlimited, positive = the limit.
   ExecConfig timeout_ms(int64_t ms) const {
     ExecConfig c = *this;
     c.timeout_ms_ = ms;
-    c.has_timeout_ms_ = true;
+    c.has_timeout_ms_ = ms != 0;
     return c;
   }
   ExecConfig max_result_rows(int64_t rows) const {
     ExecConfig c = *this;
     c.max_result_rows_ = rows;
-    c.has_max_result_rows_ = true;
+    c.has_max_result_rows_ = rows != 0;
     return c;
   }
   ExecConfig max_memory_bytes(int64_t bytes) const {
     ExecConfig c = *this;
     c.max_memory_bytes_ = bytes;
-    c.has_max_memory_bytes_ = true;
+    c.has_max_memory_bytes_ = bytes != 0;
     return c;
   }
 
@@ -118,13 +120,10 @@ class ExecConfig {
   bool profile() const { return has_profile_ ? profile_ : kDefaultProfile; }
   /// 0 = caller should use its own engine default.
   size_t block_rows() const { return has_block_rows_ ? block_rows_ : 0; }
-  int64_t timeout_ms() const { return has_timeout_ms_ ? timeout_ms_ : 0; }
-  int64_t max_result_rows() const {
-    return has_max_result_rows_ ? max_result_rows_ : 0;
-  }
-  int64_t max_memory_bytes() const {
-    return has_max_memory_bytes_ ? max_memory_bytes_ : 0;
-  }
+  /// Effective governor limits; 0 = none (unset or negative).
+  int64_t timeout_ms() const { return Limit(timeout_ms_); }
+  int64_t max_result_rows() const { return Limit(max_result_rows_); }
+  int64_t max_memory_bytes() const { return Limit(max_memory_bytes_); }
 
   // ---- tri-state inspection ----
 
@@ -142,8 +141,9 @@ class ExecConfig {
   ExecConfig OverlaidBy(const ExecConfig& overrides) const;
 
   /// The process-wide default layer, seeded once from the environment
-  /// (DB2G_PARALLELISM, DB2G_VECTORIZED, DB2G_STREAMING) and adjustable
-  /// at runtime. Thread-safe.
+  /// (DB2G_PARALLELISM, DB2G_VECTORIZED, DB2G_STREAMING,
+  /// DB2G_QUERY_TIMEOUT_MS, DB2G_MAX_RESULT_ROWS, DB2G_MAX_MEMORY_BYTES)
+  /// and adjustable at runtime. Thread-safe.
   static ExecConfig ProcessDefault();
   static void SetProcessDefault(const ExecConfig& config);
 
@@ -153,6 +153,8 @@ class ExecConfig {
 
  private:
   friend class ScopedExecConfig;
+
+  static int64_t Limit(int64_t value) { return value > 0 ? value : 0; }
 
   int parallelism_ = kDefaultParallelism;
   bool vectorized_ = kDefaultVectorized;

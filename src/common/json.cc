@@ -246,8 +246,17 @@ class JsonParser {
     SkipWs();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      // Containers recurse: bound the nesting so hostile input cannot
+      // overflow the stack.
+      if (depth_ == kMaxDepth) {
+        return Error("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return st;
+    }
     if (c == '"') {
       std::string s;
       DB2G_RETURN_NOT_OK(ParseString(&s));
@@ -429,8 +438,11 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "common/workload_governor.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "common/metrics.h"
 
@@ -14,12 +13,6 @@ uint64_t NowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-int64_t EnvInt64(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return 0;
-  return std::strtoll(value, nullptr, 10);
 }
 
 std::atomic<uint64_t> g_next_query_id{1};
@@ -55,58 +48,6 @@ std::string CancelToken::reason() const {
   if (state_ == nullptr) return std::string();
   std::lock_guard<std::mutex> lock(state_->mutex);
   return state_->reason;
-}
-
-// -- GovernorDefaults ---------------------------------------------------
-
-GovernorDefaults::GovernorDefaults() {
-  timeout_ms_.store(EnvInt64("DB2G_QUERY_TIMEOUT_MS"),
-                    std::memory_order_relaxed);
-  max_result_rows_.store(EnvInt64("DB2G_MAX_RESULT_ROWS"),
-                         std::memory_order_relaxed);
-  max_memory_bytes_.store(EnvInt64("DB2G_MAX_MEMORY_BYTES"),
-                          std::memory_order_relaxed);
-}
-
-GovernorDefaults& GovernorDefaults::Global() {
-  static GovernorDefaults* instance = new GovernorDefaults();
-  return *instance;
-}
-
-GovernorLimits GovernorDefaults::Get() const {
-  GovernorLimits limits;
-  limits.timeout_ms = timeout_ms_.load(std::memory_order_relaxed);
-  limits.max_result_rows = max_result_rows_.load(std::memory_order_relaxed);
-  limits.max_memory_bytes =
-      max_memory_bytes_.load(std::memory_order_relaxed);
-  return limits;
-}
-
-void GovernorDefaults::SetTimeoutMs(int64_t ms) {
-  timeout_ms_.store(ms, std::memory_order_relaxed);
-}
-void GovernorDefaults::SetMaxResultRows(int64_t rows) {
-  max_result_rows_.store(rows, std::memory_order_relaxed);
-}
-void GovernorDefaults::SetMaxMemoryBytes(int64_t bytes) {
-  max_memory_bytes_.store(bytes, std::memory_order_relaxed);
-}
-
-GovernorLimits ResolveLimits(int64_t timeout_ms, int64_t max_result_rows,
-                             int64_t max_memory_bytes) {
-  GovernorLimits defaults = GovernorDefaults::Global().Get();
-  auto resolve = [](int64_t value, int64_t fallback) {
-    if (value < 0) return int64_t{0};  // explicitly unlimited
-    if (value == 0) return fallback < 0 ? int64_t{0} : fallback;
-    return value;
-  };
-  GovernorLimits limits;
-  limits.timeout_ms = resolve(timeout_ms, defaults.timeout_ms);
-  limits.max_result_rows =
-      resolve(max_result_rows, defaults.max_result_rows);
-  limits.max_memory_bytes =
-      resolve(max_memory_bytes, defaults.max_memory_bytes);
-  return limits;
 }
 
 // -- QueryContext -------------------------------------------------------

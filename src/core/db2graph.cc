@@ -21,41 +21,17 @@ Result<std::unique_ptr<Db2Graph>> Db2Graph::Open(
     Options options) {
   Result<overlay::Topology> topology = overlay::Topology::Build(*db, config);
   if (!topology.ok()) return topology.status();
-  // Session execution config: Options::exec, with the deprecated
-  // RuntimeOptions execution flags folded in underneath (only when they
-  // were changed from their defaults, and only for fields exec leaves
-  // unset — the new API wins on conflict). Installed on the database so
-  // SQL issued through any path resolves the same session layer.
-  {
-    ExecConfig session;
-    const RuntimeOptions defaults;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    if (options.runtime.vectorized_execution !=
-        defaults.vectorized_execution) {
-      session = session.vectorized(options.runtime.vectorized_execution);
-    }
-    if (options.runtime.streaming_execution !=
-        defaults.streaming_execution) {
-      session = session.streaming(options.runtime.streaming_execution);
-    }
-    if (options.runtime.streaming_block_rows !=
-        defaults.streaming_block_rows) {
-      session = session.block_rows(options.runtime.streaming_block_rows);
-    }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    db->SetExecConfig(session.OverlaidBy(options.exec));
-  }
+  // Session execution config: Options::exec overlays whatever the
+  // database's session layer already holds (an earlier SetExecConfig, or
+  // another graph's Options::exec), so SQL issued through any path
+  // resolves the same session layer.
+  db->SetExecConfig(db->exec_config().OverlaidBy(options.exec));
   std::unique_ptr<Db2Graph> graph(new Db2Graph(db, options));
   graph->ddl_version_at_open_ = db->ddl_version();
   graph->dialect_ = std::make_unique<SqlDialect>(db);
   graph->provider_ = std::make_unique<Db2GraphProvider>(
       graph->dialect_.get(), std::move(*topology), options.runtime);
-  graph->plan_cache_ = std::make_shared<PlanCache>(options.plan_cache_entries);
+  graph->plan_cache_ = std::make_shared<PlanCache>();
   // sysmon.plan_cache: the core layer owns the plan cache, so it (not the
   // SQL layer) contributes this SYSMON table. The fill holds a weak_ptr —
   // a graph closed before its database simply renders an empty table.
@@ -381,20 +357,15 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
                                   .OverlaidBy(options.config);
   ScopedExecConfig scoped_exec(exec_cfg);
 
-  // Workload governance: any effective limit (per-call or inherited
-  // process default) or a live cancel token puts the execution under a
-  // QueryContext — registered for sysmon.active_queries / KillQuery and
-  // installed thread-locally for the duration, so every layer's block-
-  // boundary checks observe it. Ungoverned queries allocate nothing and
-  // every downstream CheckCurrent() stays a thread-local null test.
-  // Legacy per-call ExecOptions limits win when nonzero; otherwise the
-  // ExecConfig limits feed the same resolution chain.
-  governor::GovernorLimits limits = governor::ResolveLimits(
-      options.timeout_ms != 0 ? options.timeout_ms : exec_cfg.timeout_ms(),
-      options.max_result_rows != 0 ? options.max_result_rows
-                                   : exec_cfg.max_result_rows(),
-      options.max_memory_bytes != 0 ? options.max_memory_bytes
-                                    : exec_cfg.max_memory_bytes());
+  // Workload governance: any effective limit of the resolved config or a
+  // live cancel token puts the execution under a QueryContext —
+  // registered for sysmon.active_queries / KillQuery and installed
+  // thread-locally for the duration, so every layer's block-boundary
+  // checks observe it. Ungoverned queries allocate nothing and every
+  // downstream CheckCurrent() stays a thread-local null test.
+  const governor::GovernorLimits limits{exec_cfg.timeout_ms(),
+                                        exec_cfg.max_result_rows(),
+                                        exec_cfg.max_memory_bytes()};
   std::shared_ptr<governor::QueryContext> query_ctx;
   if (limits.any() || options.cancel_token.valid()) {
     query_ctx = std::make_shared<governor::QueryContext>(

@@ -55,28 +55,17 @@ struct ExecOptions {
   /// Consult/fill the compiled-plan cache. Disabled by benchmarks to
   /// measure the re-parsing text path.
   bool use_plan_cache = true;
-  /// Per-call execution tuning, overlaid on the session config (set at
-  /// Open via Db2Graph::Options::exec / Database::SetExecConfig) which in
-  /// turn overlays ExecConfig::ProcessDefault(). Unset fields inherit.
-  /// The resolved config travels thread-locally (ScopedExecConfig) into
-  /// every SQL statement the execution issues, so `.parallelism(4)` here
-  /// parallelizes the scans deep inside the provider.
+  /// Per-call execution tuning and governor limits, overlaid on the
+  /// session config (set at Open via Db2Graph::Options::exec /
+  /// Database::SetExecConfig) which in turn overlays
+  /// ExecConfig::ProcessDefault(). Unset fields inherit. The resolved
+  /// config travels thread-locally (ScopedExecConfig) into every SQL
+  /// statement the execution issues, so `.parallelism(4)` here
+  /// parallelizes the scans deep inside the provider. A query over its
+  /// resolved deadline fails with kTimeout, over a budget with
+  /// kResourceExhausted — both cooperatively, at the next block boundary
+  /// in whichever layer is running.
   ExecConfig config;
-
-  // -- workload governor ---------------------------------------------------
-  // Each limit: 0 = inherit the process-wide default (Db2Graph::SetDefault*
-  // / DB2G_* env vars), negative = explicitly unlimited for this execution,
-  // positive = that value. A query over its deadline fails with kTimeout,
-  // over a budget with kResourceExhausted — both cooperatively, at the next
-  // block boundary in whichever layer is running.
-
-  /// Wall-clock deadline for the whole execution, in milliseconds.
-  int64_t timeout_ms = 0;
-  /// Cap on traversers materialized by any step (and rows accumulated by a
-  /// streaming segment).
-  int64_t max_result_rows = 0;
-  /// Approximate memory budget for intermediate state, in bytes.
-  int64_t max_memory_bytes = 0;
   /// Cooperative cancellation handle: Cancel() makes the execution fail
   /// with kCancelled at its next check. Default-constructed = detached
   /// (never fires). GremlinService installs its shutdown token here.
@@ -126,18 +115,11 @@ class Db2Graph {
     RuntimeOptions runtime;
     /// The cost-based multi-hop join collapse (core/optimizer.h).
     OptimizerOptions optimizer;
-    /// Session-level execution tuning, installed on the database at Open
-    /// (Database::SetExecConfig). Per-call ExecOptions::config overlays
-    /// it. Supersedes the deprecated RuntimeOptions streaming/vectorized
-    /// flags, which are folded in underneath when they were changed from
-    /// their defaults.
+    /// Session-level execution tuning and governor limits, overlaid at
+    /// Open onto the database's session config (Database::SetExecConfig);
+    /// fields left unset keep what the database already had. Per-call
+    /// ExecOptions::config overlays it.
     ExecConfig exec;
-    /// Compiled-plan cache sizing (entries across all shards).
-    size_t plan_cache_entries;
-    // Member-init-list constructor rather than a default member
-    // initializer: an NSDMI here would break the in-class `= Options()`
-    // default arguments of Open() (GCC PR88165).
-    Options() : plan_cache_entries(1024) {}
   };
 
   /// Opens the graph: resolves the overlay against the catalog (this is
@@ -182,20 +164,6 @@ class Db2Graph {
 
   /// Clock used for traced executions (tests inject a fake).
   void SetTraceClockForTesting(TraceClock* clock) { trace_clock_ = clock; }
-
-  // Process-wide governor defaults, applied to every execution whose
-  // ExecOptions leaves the corresponding limit at 0. Also seeded from the
-  // DB2G_QUERY_TIMEOUT_MS / DB2G_MAX_RESULT_ROWS / DB2G_MAX_MEMORY_BYTES
-  // environment variables at first use. 0 or negative disables.
-  static void SetDefaultTimeoutMs(int64_t ms) {
-    governor::GovernorDefaults::Global().SetTimeoutMs(ms);
-  }
-  static void SetDefaultMaxResultRows(int64_t rows) {
-    governor::GovernorDefaults::Global().SetMaxResultRows(rows);
-  }
-  static void SetDefaultMaxMemoryBytes(int64_t bytes) {
-    governor::GovernorDefaults::Global().SetMaxMemoryBytes(bytes);
-  }
 
   /// Cancels the running query with this id (see sysmon.active_queries);
   /// it fails with kCancelled at its next cooperative check. False = no

@@ -38,11 +38,7 @@ Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
                                    overlay::Topology topology,
                                    RuntimeOptions options)
     : dialect_(dialect), topology_(std::move(topology)), options_(options) {
-  if (options_.vertex_cache) {
-    VertexCache::Options cache_options;
-    cache_options.capacity = options_.vertex_cache_entries;
-    cache_ = std::make_unique<VertexCache>(cache_options);
-  }
+  if (options_.vertex_cache) cache_ = std::make_unique<VertexCache>();
 }
 
 void Db2GraphProvider::ExecuteJobs(size_t n,

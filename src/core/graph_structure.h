@@ -33,8 +33,9 @@
 namespace db2graph::core {
 
 /// Toggles for the Section 6.3 data-dependent runtime optimizations, plus
-/// the execution-layer knobs (parallel fan-out, hot-vertex cache) that sit
-/// on top of them.
+/// the provider-level knobs (parallel fan-out, hot-vertex cache) that sit
+/// on top of them. Execution modes (streaming, vectorized, block size)
+/// live in ExecConfig, not here.
 struct RuntimeOptions {
   bool label_pruning = true;
   bool prefixed_id_pinning = true;
@@ -51,56 +52,14 @@ struct RuntimeOptions {
   /// Sharded LRU cache of fully-materialized vertices by id, invalidated
   /// via the database write epoch. Bypassed under access control.
   bool vertex_cache = true;
-  size_t vertex_cache_entries = 65536;
 
-  // The execution-tuning flags below are superseded by ExecConfig
-  // (Db2Graph::Options::exec / ExecOptions::config); Open() folds
-  // non-default values into the session config underneath it. They carry
-  // no default member initializers — a deprecated member's NSDMI would
-  // warn from every synthesized constructor — so the user-provided
-  // constructor below initializes them under a pragma.
-
-  /// Streaming Gremlin execution: linear step chains run block-at-a-time
-  /// under a pull cursor, so a saturated limit()/range() stops issuing
-  /// per-table SQL (see Interpreter::Options). Off = one materialized
-  /// pass per step, the pre-streaming behavior.
-  [[deprecated("use ExecConfig().streaming(on) — Db2Graph::Options::exec")]]
-  bool streaming_execution;
-  /// Traversers per block in streaming segments.
-  [[deprecated("use ExecConfig().block_rows(n) — Db2Graph::Options::exec")]]
-  size_t streaming_block_rows;
-
-  /// Column-at-a-time SQL execution for eligible single-table scans.
-  /// Off = every SELECT runs on the row-at-a-time operators.
-  [[deprecated("use ExecConfig().vectorized(on) — Db2Graph::Options::exec")]]
-  bool vectorized_execution;
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  RuntimeOptions()
-      : streaming_execution(true),
-        streaming_block_rows(256),
-        vectorized_execution(true) {}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
+  /// Every toggle above off: the paper's naive executor.
   static RuntimeOptions AllOff() {
     RuntimeOptions o;
     o.label_pruning = o.prefixed_id_pinning = o.property_pruning =
         o.endpoint_table_pruning = o.vertex_from_edge_shortcut =
             o.implicit_edge_id_decomposition = o.parallel_fanout =
                 o.vertex_cache = false;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    o.streaming_execution = o.vectorized_execution = false;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
     return o;
   }
 };

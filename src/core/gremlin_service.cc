@@ -6,12 +6,6 @@
 
 namespace db2graph::core {
 
-// The deprecated constructor predates admission control; WithWorkers
-// keeps its queue unbounded so callers that batch-submit far ahead of
-// the workers (load generators, tests) see no behavior change.
-GremlinService::GremlinService(Db2Graph* graph, int workers)
-    : GremlinService(graph, Options::WithWorkers(workers)) {}
-
 GremlinService::GremlinService(Db2Graph* graph, const Options& options)
     : graph_(graph),
       options_(options),
@@ -202,15 +196,11 @@ void GremlinService::WorkerLoop() {
     if (request.session != nullptr) {
       options.session_env = &request.session->env;
     }
-    // Governance: the service's default limits plus the shared shutdown
-    // token, so Shutdown() cancels this execution cooperatively.
-    options.timeout_ms = options_.timeout_ms;
-    options.max_result_rows = options_.max_result_rows;
-    options.max_memory_bytes = options_.max_memory_bytes;
-    options.cancel_token = shutdown_token_;
-    // Execution tuning: the service-level ExecConfig overlays the graph's
-    // session config per request (e.g. intra-query parallelism).
+    // The service-level ExecConfig (tuning and governor limits) overlays
+    // the graph's session config per request; the shared shutdown token
+    // lets Shutdown() cancel this execution cooperatively.
     options.config = options_.exec;
+    options.cancel_token = shutdown_token_;
     Status injected = Status::OK();
     DB2G_FAILPOINT_STATUS("service.before_execute", injected);
     Response response = injected.ok()

@@ -28,7 +28,7 @@
 // is bounded. A submit that would push the backlog past max_queue_depth
 // is shed immediately — the future fails with kOverloaded (and a
 // retry-after hint in the message) instead of parking an unbounded
-// backlog, and governor.shed counts it. Options can also impose default
+// backlog, and governor.shed counts it. Options::exec can also impose
 // per-request limits (deadline, row and memory budgets); Shutdown()
 // fires a shared cancel token so in-flight queries stop cooperatively
 // instead of being waited out.
@@ -75,19 +75,15 @@ class GremlinService {
     /// kOverloaded. 0 = 4x workers; negative = unbounded (pre-governor
     /// behavior).
     int max_queue_depth = 0;
-    /// Default governor limits stamped on every request's ExecOptions
-    /// (same 0 = inherit process default / negative = unlimited contract).
-    int64_t timeout_ms = 0;
-    int64_t max_result_rows = 0;
-    int64_t max_memory_bytes = 0;
-    /// Execution tuning stamped on every request's ExecOptions::config
-    /// (e.g. ExecConfig().parallelism(4) gives each request intra-query
-    /// parallel scans on top of the service's inter-query worker pool).
+    /// Execution tuning and governor limits stamped on every request's
+    /// ExecOptions::config (e.g. ExecConfig().parallelism(4) gives each
+    /// request intra-query parallel scans on top of the service's
+    /// inter-query worker pool; .timeout_ms(500) gives each a deadline).
     /// Unset fields inherit session / process defaults as usual.
     ExecConfig exec;
 
-    /// Legacy shape of the deprecated (graph, workers) constructor: n
-    /// workers, unbounded queue.
+    /// n workers, unbounded queue: for callers that batch-submit far
+    /// ahead of the workers (load generators, tests).
     static Options WithWorkers(int n) {
       Options o;
       o.workers = n;
@@ -99,11 +95,6 @@ class GremlinService {
   /// Starts `options.workers` executor threads over `graph` (not owned;
   /// must outlive the service).
   GremlinService(Db2Graph* graph, const Options& options);
-  [[deprecated(
-      "use GremlinService(graph, GremlinService::Options::WithWorkers(n)) "
-      "— Options also carries queue bounds, governor limits, and "
-      "ExecConfig")]]
-  GremlinService(Db2Graph* graph, int workers);
   ~GremlinService();
 
   GremlinService(const GremlinService&) = delete;

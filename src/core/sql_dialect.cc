@@ -252,7 +252,7 @@ std::vector<SqlDialect::IndexSuggestion> SqlDialect::SuggestIndexes() const {
   std::vector<IndexSuggestion> out;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [key, count] : pattern_counts_) {
-    if (count < options_.frequent_pattern_threshold) continue;
+    if (count < kFrequentPatternThreshold) continue;
     const auto& [table, columns] = key;
     const sql::Table* base = db_->GetTable(table);
     if (base == nullptr) continue;  // views cannot be indexed

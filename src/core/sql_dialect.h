@@ -57,12 +57,10 @@ class DialectRowStream : public sql::RowSource {
 
 class SqlDialect {
  public:
-  struct Options {
-    /// A (table, predicate-columns) pattern seen at least this many times
-    /// is considered frequent and produces an index suggestion when no
-    /// matching index exists.
-    uint64_t frequent_pattern_threshold = 16;
-  };
+  /// A (table, predicate-columns) pattern seen at least this many times
+  /// is considered frequent and produces an index suggestion when no
+  /// matching index exists.
+  static constexpr uint64_t kFrequentPatternThreshold = 16;
 
   /// Registry metric names for the SQL-skeleton cache.
   static constexpr const char* kSkeletonHitsCounter =
@@ -70,10 +68,8 @@ class SqlDialect {
   static constexpr const char* kSkeletonMissesCounter =
       "sql_dialect.skeleton_misses";
 
-  explicit SqlDialect(sql::Database* db) : SqlDialect(db, Options()) {}
-  SqlDialect(sql::Database* db, Options options)
+  explicit SqlDialect(sql::Database* db)
       : db_(db),
-        options_(options),
         registry_skeleton_hits_(metrics::MetricsRegistry::Global().GetCounter(
             kSkeletonHitsCounter)),
         registry_skeleton_misses_(
@@ -171,7 +167,6 @@ class SqlDialect {
   Result<sql::PreparedStatement> PrepareCached(const std::string& sql);
 
   sql::Database* db_;
-  Options options_;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, sql::PreparedStatement> templates_;

@@ -1,22 +1,11 @@
 #include "core/vertex_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace db2graph::core {
 
-VertexCache::VertexCache(const Options& options) {
-  int shards = std::max(1, options.shards);
-  size_t capacity = std::max<size_t>(1, options.capacity);
-  shard_capacity_ = std::max<size_t>(1, capacity / shards);
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 VertexCache::Shard& VertexCache::ShardFor(const Value& id) {
-  return *shards_[id.Hash() % shards_.size()];
+  return shards_[id.Hash() % kShards];
 }
 
 bool VertexCache::Get(const Value& id, uint64_t epoch,
@@ -48,7 +37,7 @@ void VertexCache::Put(const Value& id, std::vector<gremlin::VertexPtr> vertices,
   }
   shard.lru.push_front(Entry{id, std::move(vertices), epoch});
   shard.index[id] = shard.lru.begin();
-  while (shard.lru.size() > shard_capacity_) {
+  while (shard.lru.size() > kCapacity / kShards) {
     shard.index.erase(shard.lru.back().id);
     shard.lru.pop_back();
   }
@@ -56,9 +45,9 @@ void VertexCache::Put(const Value& id, std::vector<gremlin::VertexPtr> vertices,
 
 size_t VertexCache::ApproxEntries() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.lru.size();
   }
   return total;
 }

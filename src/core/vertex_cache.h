@@ -21,9 +21,9 @@
 #ifndef DB2GRAPH_CORE_VERTEX_CACHE_H_
 #define DB2GRAPH_CORE_VERTEX_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -35,12 +35,12 @@ namespace db2graph::core {
 
 class VertexCache {
  public:
-  struct Options {
-    size_t capacity = 65536;  // max cached ids across all shards
-    int shards = 8;           // lock-striping granularity
-  };
+  /// Max cached ids across all shards.
+  static constexpr size_t kCapacity = 65536;
+  /// Lock-striping granularity.
+  static constexpr size_t kShards = 8;
 
-  explicit VertexCache(const Options& options);
+  VertexCache() = default;
 
   VertexCache(const VertexCache&) = delete;
   VertexCache& operator=(const VertexCache&) = delete;
@@ -74,8 +74,7 @@ class VertexCache {
 
   Shard& ShardFor(const Value& id);
 
-  size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace db2graph::core

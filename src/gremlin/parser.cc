@@ -268,7 +268,20 @@ class GremlinParser {
     return Status::OK();
   }
 
+  // Sub-traversal arguments recurse (ParseArg -> ParseChain -> ParseArg),
+  // so nesting is bounded: hostile input must fail to parse, not
+  // overflow the stack.
   Status ParseArg(Arg* out) {
+    if (depth_ == kMaxNestingDepth) {
+      return Error("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+    ++depth_;
+    Status st = ParseArgAtDepth(out);
+    --depth_;
+    return st;
+  }
+
+  Status ParseArgAtDepth(Arg* out) {
     const Tok& t = Peek();
     if (t.type == TokType::kString || t.type == TokType::kNumber) {
       out->kind = Arg::Kind::kLiteral;
@@ -670,8 +683,11 @@ class GremlinParser {
     return Status::Unsupported("Gremlin: unsupported step '" + name + "'");
   }
 
+  static constexpr int kMaxNestingDepth = 256;
+
   std::vector<Tok> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

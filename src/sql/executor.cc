@@ -282,7 +282,7 @@ struct PlanContext {
   int dop = 1;
   ExecInfo exec;
   Status error = Status::OK();
-  /// EXPLAIN [ANALYZE] / Database::profile_execution: each operator gets a
+  /// EXPLAIN [ANALYZE] / ExecConfig::profile(): each operator gets a
   /// wrapper that records into one node here. deque: the wrappers hold
   /// stable pointers while compilation keeps appending. Leaf-first order.
   bool profiled = false;
@@ -1192,8 +1192,8 @@ class LimitOp : public Op {
 // Vectorized (column-at-a-time) operators
 // ---------------------------------------------------------------------
 //
-// These run below the row tree for single-table full scans when
-// Database::vectorized_execution() is on:
+// These run below the row tree for single-table full scans when the
+// statement's resolved ExecConfig has vectorized() on (the default):
 //
 //   ColumnScan -> ColumnFilter? -> (ColumnAggregate | ColumnProject
 //                                   | ColumnToRow -> <row operators>)

@@ -484,7 +484,8 @@ class Parser {
       out->kind = TableRef::Kind::kSubquery;
       DB2G_RETURN_NOT_OK(ExpectKeyword("SELECT"));
       out->subquery = std::make_shared<SelectStmt>();
-      DB2G_RETURN_NOT_OK(ParseSelect(out->subquery.get()));
+      DB2G_RETURN_NOT_OK(
+          Nested([&] { return ParseSelect(out->subquery.get()); }));
       DB2G_RETURN_NOT_OK(ExpectOperator(")"));
       ConsumeKeyword("AS");
       DB2G_RETURN_NOT_OK(ExpectIdentifier(&out->alias));
@@ -524,6 +525,21 @@ class Parser {
     return false;
   }
 
+  // Runs one recursive production (a parenthesized or argument
+  // expression, a NOT or unary-minus operand, a FROM subquery) one level
+  // deeper; input nested past kMaxNestingDepth fails to parse instead of
+  // overflowing the stack.
+  template <typename ParseFn>
+  Status Nested(ParseFn parse) {
+    if (depth_ == kMaxNestingDepth) {
+      return Error("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+    ++depth_;
+    Status st = parse();
+    --depth_;
+    return st;
+  }
+
   // ---- expressions ----------------------------------------------------
   // or_expr := and_expr (OR and_expr)*
   Status ParseExpr(std::unique_ptr<Expr>* out) {
@@ -552,7 +568,7 @@ class Parser {
       e->kind = ExprKind::kUnary;
       e->op = "NOT";
       std::unique_ptr<Expr> child;
-      DB2G_RETURN_NOT_OK(ParseNot(&child));
+      DB2G_RETURN_NOT_OK(Nested([&] { return ParseNot(&child); }));
       e->children.push_back(std::move(child));
       *out = std::move(e);
       return Status::OK();
@@ -670,7 +686,7 @@ class Parser {
       e->kind = ExprKind::kUnary;
       e->op = "-";
       std::unique_ptr<Expr> child;
-      DB2G_RETURN_NOT_OK(ParseUnary(&child));
+      DB2G_RETURN_NOT_OK(Nested([&] { return ParseUnary(&child); }));
       e->children.push_back(std::move(child));
       *out = std::move(e);
       return Status::OK();
@@ -700,7 +716,7 @@ class Parser {
       return Status::OK();
     }
     if (ConsumeOperator("(")) {
-      DB2G_RETURN_NOT_OK(ParseExpr(out));
+      DB2G_RETURN_NOT_OK(Nested([&] { return ParseExpr(out); }));
       return ExpectOperator(")");
     }
     if (t.type == TokenType::kIdentifier) {
@@ -725,7 +741,7 @@ class Parser {
           ConsumeKeyword("DISTINCT");  // COUNT(DISTINCT x): treated as COUNT
           while (true) {
             std::unique_ptr<Expr> arg;
-            DB2G_RETURN_NOT_OK(ParseExpr(&arg));
+            DB2G_RETURN_NOT_OK(Nested([&] { return ParseExpr(&arg); }));
             e->children.push_back(std::move(arg));
             if (!ConsumeOperator(",")) break;
           }
@@ -758,9 +774,12 @@ class Parser {
   void set_source(std::string s) { source_ = std::move(s); }
 
  private:
+  static constexpr int kMaxNestingDepth = 256;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int param_count_ = 0;
+  int depth_ = 0;
   std::string source_;
 };
 

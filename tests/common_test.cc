@@ -156,6 +156,24 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(Json::Parse(R"("unterminated)").ok());
 }
 
+// Container nesting is bounded: 10k nested arrays or objects fail with
+// InvalidArgument instead of overflowing the stack.
+TEST(JsonTest, DeepNestingFailsCleanly) {
+  const int kDepth = 10000;
+  std::string objects;
+  for (int i = 0; i < kDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(kDepth, '}');
+  for (const std::string& doc :
+       {std::string(kDepth, '[') + std::string(kDepth, ']'), objects}) {
+    Result<Json> parsed = Json::Parse(doc);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << parsed.status().ToString();
+  }
+  EXPECT_TRUE(
+      Json::Parse(std::string(50, '[') + std::string(50, ']')).ok());
+}
+
 TEST(JsonTest, GetHelpersApplyDefaults) {
   Result<Json> doc = Json::Parse(R"({"flag": true, "name": "x"})");
   ASSERT_TRUE(doc.ok());

@@ -2,13 +2,13 @@
 //
 // Workload governor coverage:
 //
-//  * deadlines — a timeout_ms=50 full traversal over 100k vertices fails
-//    with kTimeout well under the 100 ms acceptance bound, including when
-//    the deadline expires inside a barrier drain (order / groupCount /
-//    both());
+//  * deadlines — a full traversal over 100k vertices with a 50 ms timeout
+//    fails with kTimeout well under the 100 ms acceptance bound, including
+//    when the deadline expires inside a barrier drain (order /
+//    groupCount / both());
 //  * result-row and memory budgets latch kResourceExhausted;
-//  * ExecOptions limit resolution against process defaults (0 = inherit,
-//    negative = explicitly unlimited);
+//  * limit resolution through every ExecConfig layer (0 = inherit,
+//    negative = explicitly unlimited, positive = the limit);
 //  * observability — the reason column in sysmon.query_log and
 //    sysmon.slow_queries, the governor.* counters, sysmon.active_queries
 //    and KillQuery;
@@ -91,7 +91,7 @@ sql::Database* GovernorDeadlineTest::db_ = nullptr;
 TEST_F(GovernorDeadlineTest, FullTraversalTimesOutUnder100ms) {
   uint64_t timeouts_before = CounterValue(governor::kTimeoutsCounter);
   ExecOptions options;
-  options.timeout_ms = 50;
+  options.config = ExecConfig().timeout_ms(50);
   auto start = std::chrono::steady_clock::now();
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
@@ -114,7 +114,7 @@ TEST_F(GovernorDeadlineTest, TimeoutInterruptsBarrierSteps) {
         "g.V().out().values('vp1').groupCount()",
         "g.V().both().count()"}) {
     ExecOptions options;
-    options.timeout_ms = 30;
+    options.config = ExecConfig().timeout_ms(30);
     auto start = std::chrono::steady_clock::now();
     Result<std::vector<Traverser>> out = graph_->Execute(script, options);
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -128,7 +128,7 @@ TEST_F(GovernorDeadlineTest, TimeoutInterruptsBarrierSteps) {
 
 TEST_F(GovernorDeadlineTest, ResultRowBudgetLatchesResourceExhausted) {
   ExecOptions options;
-  options.max_result_rows = 1000;
+  options.config = ExecConfig().max_result_rows(1000);
   Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
@@ -138,7 +138,8 @@ TEST_F(GovernorDeadlineTest, ResultRowBudgetLatchesResourceExhausted) {
 TEST_F(GovernorDeadlineTest, MemoryBudgetLatchesResourceExhausted) {
   uint64_t before = CounterValue(governor::kResourceExhaustedCounter);
   ExecOptions options;
-  options.max_memory_bytes = 64 * 1024;  // far under 100k traversers
+  // Far under 100k traversers.
+  options.config = ExecConfig().max_memory_bytes(64 * 1024);
   // Plain g.V() materializes every vertex (count() would push the
   // aggregate into SQL and retain nothing).
   Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
@@ -152,28 +153,91 @@ TEST_F(GovernorDeadlineTest, GenerousLimitsDoNotPerturbResults) {
   Result<std::vector<Traverser>> plain = graph_->Execute("g.V().count()");
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   ExecOptions options;
-  options.timeout_ms = 60000;
-  options.max_result_rows = 10000000;
-  options.max_memory_bytes = int64_t{4} << 30;
+  options.config = ExecConfig()
+                       .timeout_ms(60000)
+                       .max_result_rows(10000000)
+                       .max_memory_bytes(int64_t{4} << 30);
   Result<std::vector<Traverser>> governed =
       graph_->Execute("g.V().count()", options);
   ASSERT_TRUE(governed.ok()) << governed.status().ToString();
   EXPECT_EQ((*plain)[0].ToString(), (*governed)[0].ToString());
 }
 
-TEST_F(GovernorDeadlineTest, ProcessDefaultsApplyAndPerCallOverrides) {
-  Db2Graph::SetDefaultMaxResultRows(1000);
-  // 0 (the ExecOptions default) inherits the process default...
-  Result<std::vector<Traverser>> inherited = graph_->Execute("g.V()");
-  ASSERT_FALSE(inherited.ok());
-  EXPECT_EQ(inherited.status().code(), StatusCode::kResourceExhausted);
-  // ...and a negative field opts this call out of it.
-  ExecOptions unlimited;
-  unlimited.max_result_rows = -1;
-  Result<std::vector<Traverser>> out =
-      graph_->Execute("g.V().count()", unlimited);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  Db2Graph::SetDefaultMaxResultRows(0);
+// One limit, set (or not) at every layer of the ExecConfig chain: the
+// process default, the session (Db2Graph::Options::exec), the service
+// (GremlinService::Options::exec) and the call (ExecOptions::config).
+// 0 leaves a layer unset so it inherits the layer below, a negative value
+// makes the layer unlimited, and a positive one is the limit; the
+// highest layer that sets the field wins.
+TEST_F(GovernorDeadlineTest, LimitsResolveThroughEveryConfigLayer) {
+  constexpr int64_t kCap = 1000;
+  constexpr int64_t kOff = -1;
+  struct Case {
+    int64_t process;
+    int64_t session;
+    int64_t service;  // only with via_service
+    int64_t call;     // only without via_service
+    bool via_service;
+    bool capped;
+  };
+  const Case cases[] = {
+      {0, 0, 0, 0, false, false},
+      {kCap, 0, 0, 0, false, true},
+      {kCap, 0, 0, kOff, false, false},
+      {kCap, kOff, 0, 0, false, false},
+      {kCap, kOff, 0, kCap, false, true},
+      {kOff, kCap, 0, 0, false, true},
+      {0, kCap, 0, kOff, false, false},
+      {0, 0, 0, kCap, false, true},
+      {kCap, 0, 0, 0, true, true},
+      {0, kCap, 0, 0, true, true},
+      {kCap, kCap, kOff, 0, true, false},
+      {kOff, kOff, kCap, 0, true, true},
+  };
+  // Restores the process default and the shared database's session
+  // layer however the loop exits.
+  struct Restore {
+    ExecConfig process = ExecConfig::ProcessDefault();
+    ~Restore() {
+      ExecConfig::SetProcessDefault(process);
+      db_->SetExecConfig(ExecConfig());
+    }
+  } restore;
+  const std::string script = "g.V().limit(5000)";
+  for (const Case& c : cases) {
+    SCOPED_TRACE("process=" + std::to_string(c.process) +
+                 " session=" + std::to_string(c.session) +
+                 " service=" + std::to_string(c.service) +
+                 " call=" + std::to_string(c.call));
+    ExecConfig::SetProcessDefault(
+        restore.process.max_result_rows(c.process));
+    db_->SetExecConfig(ExecConfig());
+    Db2Graph::Options graph_options;
+    graph_options.exec = ExecConfig().max_result_rows(c.session);
+    Result<std::unique_ptr<Db2Graph>> graph =
+        Db2Graph::Open(db_, linkbench::MakeOverlay(), graph_options);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    Result<std::vector<Traverser>> out = [&] {
+      if (c.via_service) {
+        GremlinService::Options service_options =
+            GremlinService::Options::WithWorkers(1);
+        service_options.exec = ExecConfig().max_result_rows(c.service);
+        GremlinService service(graph->get(), service_options);
+        return service.Submit(script).get();
+      }
+      ExecOptions options;
+      options.config = ExecConfig().max_result_rows(c.call);
+      return (*graph)->Execute(script, options);
+    }();
+    if (c.capped) {
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
+          << out.status().ToString();
+    } else {
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(out->size(), 5000u);
+    }
+  }
 }
 
 TEST_F(GovernorDeadlineTest, ExternalCancelTokenStopsExecution) {
@@ -204,7 +268,7 @@ TEST_F(GovernorDeadlineTest, QueryLogRecordsTerminationReason) {
   QueryLog::Global().SetEnabled(true);
   QueryLog::Global().Clear();
   ExecOptions options;
-  options.timeout_ms = 30;
+  options.config = ExecConfig().timeout_ms(30);
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
   ASSERT_FALSE(out.ok());
@@ -224,7 +288,7 @@ TEST_F(GovernorDeadlineTest, SlowQueryLogRecordsTerminationReason) {
   SlowQueryLog::Global().SetThresholdMs(1);
   SlowQueryLog::Global().Clear();
   ExecOptions options;
-  options.timeout_ms = 30;
+  options.config = ExecConfig().timeout_ms(30);
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
   ASSERT_FALSE(out.ok());
@@ -239,7 +303,8 @@ TEST_F(GovernorDeadlineTest, SlowQueryLogRecordsTerminationReason) {
 
 TEST_F(GovernorDeadlineTest, ActiveQueriesVisibleAndKillable) {
   ExecOptions options;
-  options.timeout_ms = 60000;  // governed, but nowhere near expiring
+  // Governed, but nowhere near expiring.
+  options.config = ExecConfig().timeout_ms(60000);
   auto future = std::async(std::launch::async, [&] {
     return graph_->Execute("g.V().out().out().count()", options);
   });
@@ -417,7 +482,7 @@ TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
 TEST_F(GovernorCancellationStressTest, DeadlineRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     ExecOptions options;
-    options.timeout_ms = 1 + iter % 5;
+    options.config = ExecConfig().timeout_ms(1 + iter % 5);
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().both().count()", options);
     if (!out.ok()) {

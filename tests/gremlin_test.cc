@@ -289,6 +289,22 @@ TEST_F(GremlinTest, ParseErrors) {
   EXPECT_FALSE(ParseGremlin("g.V().times(2)").ok());
 }
 
+// Sub-traversal nesting is bounded: 10k nested where(__.out(...)) fails
+// with InvalidArgument instead of overflowing the stack, and ordinary
+// nesting still parses.
+TEST(GremlinParseTest, DeepNestingFailsCleanly) {
+  auto nested = [](int depth) {
+    std::string script = "g.V()";
+    for (int i = 0; i < depth; ++i) script += ".where(__.out()";
+    return script + std::string(depth, ')');
+  };
+  EXPECT_TRUE(ParseGremlin(nested(50)).ok());
+  Result<Script> deep = ParseGremlin(nested(10000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument)
+      << deep.status().ToString();
+}
+
 TEST_F(GremlinTest, PlanRendering) {
   Result<Traversal> t =
       ParseTraversal("g.V(1).outE('hasDisease').count()");

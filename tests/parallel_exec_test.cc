@@ -4,7 +4,9 @@
 // surface that fronts it:
 //
 //  * ExecConfig tri-state layering — overlay precedence, clamping, the
-//    thread-local scope, and the database session resolution chain;
+//    governor-limit inherit / opt-out rules, the thread-local scope, and
+//    the database session resolution chain (which Open extends rather
+//    than replaces);
 //  * SQL parallel-vs-serial equivalence — every eligible shape (full
 //    scans, kernel and fallback filters, simple and grouped aggregates,
 //    hash joins, ORDER BY) produces identical rows at dop 1/2/8 x block
@@ -128,6 +130,45 @@ TEST(ExecConfigTest, DatabaseSessionThenThreadScopeResolution) {
   EXPECT_EQ(db.exec_config().parallelism(), 4);
 }
 
+TEST(ExecConfigTest, LimitsInheritWhenZeroAndOptOutWhenNegative) {
+  const ExecConfig lower = ExecConfig().timeout_ms(100).max_result_rows(10);
+  // 0 leaves a limit unset, so the lower layer's value shows through.
+  ExecConfig inherit = lower.OverlaidBy(ExecConfig().timeout_ms(0));
+  EXPECT_EQ(inherit.timeout_ms(), 100);
+  // A negative limit is set, so it wins, and it resolves to no limit.
+  ExecConfig off = lower.OverlaidBy(ExecConfig().max_result_rows(-1));
+  EXPECT_TRUE(off.has_max_result_rows());
+  EXPECT_EQ(off.max_result_rows(), 0);
+  EXPECT_EQ(off.timeout_ms(), 100);
+  EXPECT_FALSE(ExecConfig().has_max_memory_bytes());
+  EXPECT_EQ(ExecConfig().max_memory_bytes(), 0);
+}
+
+// Open overlays a graph's Options::exec onto the database's session
+// layer rather than replacing it: a default-options Open keeps an
+// earlier SetExecConfig, and a graph's own exec changes only the fields
+// it sets.
+TEST(ExecConfigTest, OpenKeepsTheDatabaseSessionConfig) {
+  linkbench::Config config;
+  config.num_vertices = 50;
+  linkbench::Dataset dataset = linkbench::Generate(config);
+  sql::Database db;
+  ASSERT_TRUE(linkbench::LoadIntoDatabase(&db, dataset).ok());
+  db.SetExecConfig(ExecConfig().parallelism(4));
+  Result<std::unique_ptr<Db2Graph>> plain =
+      Db2Graph::Open(&db, linkbench::MakeOverlay());
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(db.exec_config().parallelism(), 4);
+
+  Db2Graph::Options options;
+  options.exec = ExecConfig().vectorized(false);
+  Result<std::unique_ptr<Db2Graph>> tuned =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), options);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+  EXPECT_EQ(db.exec_config().parallelism(), 4);
+  EXPECT_FALSE(db.exec_config().vectorized());
+}
+
 // ------------------------------------------------------------------
 // SQL parallel-vs-serial equivalence matrix.
 // ------------------------------------------------------------------
@@ -147,14 +188,14 @@ class ParallelSqlEquivalenceTest : public ::testing::Test {
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     for (int i = 0; i < 3000; ++i) {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-      Row row;
-      row.push_back(Value(static_cast<int64_t>(rng % 3000)));
-      row.push_back((rng >> 8) % 16 == 0
-                        ? Value()
-                        : Value(static_cast<double>((rng >> 16) % 997) / 4));
-      row.push_back(Value("s" + std::to_string((rng >> 32) % 13)));
-      row.push_back(Value(static_cast<int64_t>((rng >> 48) % 500)));
-      ASSERT_TRUE(facts->Insert(std::move(row)).ok());
+      const Value b = (rng >> 8) % 16 == 0
+                          ? Value()
+                          : Value(static_cast<double>((rng >> 16) % 997) / 4);
+      ASSERT_TRUE(facts
+                      ->Insert({Value(static_cast<int64_t>(rng % 3000)), b,
+                                Value("s" + std::to_string((rng >> 32) % 13)),
+                                Value(static_cast<int64_t>((rng >> 48) % 500))})
+                      .ok());
     }
     sql::Table* dims = db_.GetTable("Dims");
     ASSERT_NE(dims, nullptr);
@@ -331,7 +372,11 @@ class ParallelGremlinEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(linkbench::LoadIntoPartitionedDatabase(&db_, dataset_).ok());
   }
 
+  // Opens a graph whose session layer is exactly `exec`: Open overlays
+  // onto the database's session config, so the previous graph's fields
+  // are cleared first.
   std::unique_ptr<Db2Graph> Open(const ExecConfig& exec) {
+    db_.SetExecConfig(ExecConfig());
     Db2Graph::Options options;
     options.exec = exec;
     Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(
@@ -489,8 +534,8 @@ TEST_F(ParallelGovernanceTest, MorselWorkersRaceKillQueryStress) {
     }
   });
   ExecOptions options;
-  options.config = ExecConfig().parallelism(8);
-  options.timeout_ms = 600000;  // governed: registered for KillQuery
+  // Governed (a deadline): registered for KillQuery.
+  options.config = ExecConfig().parallelism(8).timeout_ms(600000);
   for (int i = 0; i < kIterations; ++i) {
     const std::string q = i % 2 == 0 ? "g.V().groupCount()"
                                      : "g.V().out().count()";
@@ -516,8 +561,7 @@ TEST_F(ParallelGovernanceTest, CancellationLandsUnder100MsMidParallelScan) {
   Status final_status = Status::OK();
   std::thread runner([&] {
     ExecOptions options;
-    options.config = ExecConfig().parallelism(8);
-    options.timeout_ms = 600000;
+    options.config = ExecConfig().parallelism(8).timeout_ms(600000);
     started.store(true, std::memory_order_release);
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().out().out().count()", options);

@@ -5,6 +5,7 @@
 
 #include "common/metrics.h"
 #include "sql/database.h"
+#include "sql/parser.h"
 #include "sql/table.h"
 
 namespace db2graph::sql {
@@ -495,28 +496,35 @@ TEST_F(SqlEngineTest, ExecModeAttributesVectorizedAndScalarOperators) {
   db_.SetExecConfig(db_.exec_config().vectorized(true));
 }
 
-// Shim coverage: the deprecated per-flag setters must keep routing
-// through the session ExecConfig until callers finish migrating.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(SqlEngineTest, DeprecatedExecutionTogglesRouteThroughExecConfig) {
-  db_.set_vectorized_execution(false);
-  EXPECT_FALSE(db_.ResolveExecConfig().vectorized());
-  EXPECT_FALSE(db_.vectorized_execution());
-  ResultSet rs = Query("SELECT name FROM Patient");
-  EXPECT_STREQ(rs.exec.ExecMode(), "scalar");
-
-  db_.set_vectorized_execution(true);
-  EXPECT_TRUE(db_.ResolveExecConfig().vectorized());
-
-  db_.set_profile_execution(true);
-  EXPECT_TRUE(db_.ResolveExecConfig().profile());
-  rs = Query("SELECT name FROM Patient");
-  EXPECT_FALSE(rs.exec.op_profiles.empty());
-  db_.set_profile_execution(false);
-  EXPECT_FALSE(db_.ResolveExecConfig().profile());
+// Every recursive production is nesting-bounded: at 10k levels the
+// parser fails with InvalidArgument instead of overflowing the stack,
+// and ordinary nesting still parses.
+TEST(SqlParseTest, DeepNestingFailsCleanly) {
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  auto shapes = [&](int n) {
+    return std::vector<std::string>{
+        "SELECT " + repeat("(", n) + "1" + repeat(")", n) + " FROM t",
+        "SELECT " + repeat("ABS(", n) + "1" + repeat(")", n) + " FROM t",
+        "SELECT a FROM t WHERE " + repeat("NOT ", n) + "a = 1",
+        "SELECT " + repeat("- ", n) + "1 FROM t",
+        "SELECT * FROM " + repeat("(SELECT * FROM ", n) + "t" +
+            repeat(") AS s", n),
+    };
+  };
+  for (const std::string& sql : shapes(50)) {
+    EXPECT_TRUE(ParseSql(sql).ok()) << sql.substr(0, 40);
+  }
+  for (const std::string& sql : shapes(10000)) {
+    Result<std::unique_ptr<Statement>> stmt = ParseSql(sql);
+    ASSERT_FALSE(stmt.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument)
+        << stmt.status().ToString();
+  }
 }
-#pragma GCC diagnostic pop
 
 // Deletes leave a recyclable slot; re-inserts reuse it without growing
 // the column vectors, and both execution modes keep dead slots invisible.

@@ -141,6 +141,7 @@ TEST_F(SqlGenerationTest, NaiveModeQueriesEveryTable) {
   Db2Graph::Options naive;
   naive.strategies = StrategyOptions::AllOff();
   naive.runtime = RuntimeOptions::AllOff();
+  naive.exec = ExecConfig().streaming(false).vectorized(false);
   auto graph = Db2Graph::Open(&db_, graph_->topology().config());
   // Reuse the same overlay config through the existing graph's topology.
   ASSERT_TRUE(graph.ok());

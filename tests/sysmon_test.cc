@@ -4,7 +4,7 @@
 // relations (plain SELECT, WHERE, aggregation, vectorized execution, the
 // Gremlin entry point feeds them), sysmon.query_log reflects live engine
 // state, EXPLAIN ANALYZE reports per-operator actuals that match the
-// ExecInfo totals, and profile_execution attaches plans to the log.
+// ExecInfo totals, and session profile(true) attaches plans to the log.
 
 #include <algorithm>
 #include <cstdint>
