@@ -277,12 +277,14 @@ std::string FullScanMixQuery(int i) {
   }
 }
 
-// Runs `queries` instances of a mix; returns elapsed seconds.
+// Runs `queries` instances of a mix with the given per-call options;
+// returns elapsed seconds.
 double RunMixSlice(Db2Graph* graph, std::string (*mix)(int), int queries,
-                   int base) {
+                   int base, const db2graph::core::ExecOptions& options = {}) {
   auto start = std::chrono::steady_clock::now();
   for (int k = 0; k < queries; ++k) {
-    Result<std::vector<Traverser>> out = graph->Execute(mix(base + k));
+    Result<std::vector<Traverser>> out =
+        graph->Execute(mix(base + k), options);
     if (!out.ok()) {
       std::fprintf(stderr, "streaming bench query failed: %s\n",
                    out.status().ToString().c_str());
@@ -292,6 +294,20 @@ double RunMixSlice(Db2Graph* graph, std::string (*mix)(int), int queries,
   std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   return elapsed.count();
+}
+
+// Blocks the streaming pipeline pulled while running `query` under
+// `options`; 0 means the query ran materialized.
+uint64_t BlocksPulled(Db2Graph* graph, const std::string& query,
+                      db2graph::core::ExecOptions options) {
+  db2graph::QueryTrace trace;
+  options.trace = &trace;
+  if (!graph->Execute(query, options).ok()) return 0;
+  uint64_t blocks = 0;
+  for (const db2graph::StepTraceSpan& span : trace.Spans()) {
+    blocks += span.blocks;
+  }
+  return blocks;
 }
 
 // ---- Multi-hop collapse ablation workload. ----
@@ -304,25 +320,6 @@ double RunMixSlice(Db2Graph* graph, std::string (*mix)(int), int queries,
 std::string HopMixQuery(int i) {
   return "g.V().has('val', eq(" + std::to_string(i % 10) +
          ")).out('link').out('link').out('link').count()";
-}
-
-// Same, with every execution governed by the given options.
-double RunGovernedMixSlice(Db2Graph* graph, const db2graph::core::ExecOptions&
-                               options,
-                           std::string (*mix)(int), int queries, int base) {
-  auto start = std::chrono::steady_clock::now();
-  for (int k = 0; k < queries; ++k) {
-    Result<std::vector<Traverser>> out =
-        graph->Execute(mix(base + k), options);
-    if (!out.ok()) {
-      std::fprintf(stderr, "governed bench query failed: %s\n",
-                   out.status().ToString().c_str());
-      std::exit(2);
-    }
-  }
-  std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
 }
 
 }  // namespace
@@ -661,10 +658,12 @@ int main() {
       &stream_db,
       db2graph::linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false));
   // The pre-streaming baseline: materialized interpretation and no LIMIT
-  // pushdown (both arrived with the streaming pipeline).
+  // pushdown (both arrived with the streaming pipeline). Both graphs share
+  // one database session config, so the baseline's mode is set per call.
   Db2Graph::Options mat_options;
-  mat_options.exec = db2graph::ExecConfig().streaming(false);
   mat_options.strategies.limit_pushdown = false;
+  db2graph::core::ExecOptions mat_exec;
+  mat_exec.config = db2graph::ExecConfig().streaming(false);
   Result<std::unique_ptr<Db2Graph>> materialized = Db2Graph::Open(
       &stream_db,
       db2graph::linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false),
@@ -672,6 +671,19 @@ int main() {
   if (!streaming.ok() || !materialized.ok()) {
     std::fprintf(stderr, "streaming bench open failed\n");
     return 2;
+  }
+
+  // The two sides must really run different modes.
+  const uint64_t stream_blocks =
+      BlocksPulled(streaming->get(), LimitMixQuery(0), {});
+  const uint64_t mat_blocks =
+      BlocksPulled(materialized->get(), LimitMixQuery(0), mat_exec);
+  if (stream_blocks == 0 || mat_blocks != 0) {
+    std::fprintf(stderr, "FAIL: streaming side pulled %llu blocks, "
+                         "materialized side %llu (want > 0 and 0)\n",
+                 static_cast<unsigned long long>(stream_blocks),
+                 static_cast<unsigned long long>(mat_blocks));
+    return 1;
   }
 
   // Rows-scanned contract, measured once outside the timed rounds (the
@@ -682,7 +694,8 @@ int main() {
   db2graph::sql::ExecStats::Counts before = stream_db.stats().Snapshot();
   RunMixSlice(streaming->get(), LimitMixQuery, kStreamQueries, 0);
   db2graph::sql::ExecStats::Counts mid = stream_db.stats().Snapshot();
-  RunMixSlice(materialized->get(), LimitMixQuery, kStreamQueries, 0);
+  RunMixSlice(materialized->get(), LimitMixQuery, kStreamQueries, 0,
+              mat_exec);
   db2graph::sql::ExecStats::Counts after = stream_db.stats().Snapshot();
   uint64_t stream_rows = mid.rows_scanned - before.rows_scanned;
   uint64_t mat_rows = after.rows_scanned - mid.rows_scanned;
@@ -699,7 +712,7 @@ int main() {
       s_limit += RunMixSlice(streaming->get(), LimitMixQuery,
                              kStreamSliceQueries, base);
       m_limit += RunMixSlice(materialized->get(), LimitMixQuery,
-                             kStreamSliceQueries, base);
+                             kStreamSliceQueries, base, mat_exec);
     }
     double s_qps = kStreamQueries / s_limit;
     double m_qps = kStreamQueries / m_limit;
@@ -712,7 +725,7 @@ int main() {
     double s_scan = RunMixSlice(streaming->get(), FullScanMixQuery,
                                 kScanQueries, 0);
     double m_scan = RunMixSlice(materialized->get(), FullScanMixQuery,
-                                kScanQueries, 0);
+                                kScanQueries, 0, mat_exec);
     if (kScanQueries / s_scan > stream_scan_best)
       stream_scan_best = kScanQueries / s_scan;
     if (kScanQueries / m_scan > mat_scan_best)
@@ -783,6 +796,11 @@ int main() {
                                .timeout_ms(600000)
                                .max_result_rows(100000000)
                                .max_memory_bytes(int64_t{16} << 30);
+  if (BlocksPulled(streaming->get(), LimitMixQuery(0), governed_options) ==
+      0) {
+    std::fprintf(stderr, "FAIL: the governed limit mix did not stream\n");
+    return 1;
+  }
   double ungoverned_best = 0;
   double governed_best = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -792,8 +810,8 @@ int main() {
       int base = slice * kStreamSliceQueries;
       u += RunMixSlice(streaming->get(), LimitMixQuery, kStreamSliceQueries,
                        base);
-      g += RunGovernedMixSlice(streaming->get(), governed_options,
-                               LimitMixQuery, kStreamSliceQueries, base);
+      g += RunMixSlice(streaming->get(), LimitMixQuery, kStreamSliceQueries,
+                       base, governed_options);
     }
     if (kStreamQueries / u > ungoverned_best)
       ungoverned_best = kStreamQueries / u;

@@ -1,5 +1,7 @@
 #include "core/db2graph.h"
 
+#include <optional>
+
 #include "common/exec_config.h"
 #include "common/query_log.h"
 #include "common/strings.h"
@@ -493,6 +495,7 @@ bool PreparedQuery::IsStale() const {
 
 namespace {
 
+using gremlin::Direction;
 using gremlin::GremlinArg;
 using gremlin::LookupSpec;
 using gremlin::Step;
@@ -518,9 +521,13 @@ void AddPreviews(QueryTrace* trace,
 // Opens a span per step and previews the SQL each GSA step would issue.
 // Anchor sets are unknown at compile time, so VertexStep previews show
 // the per-table plans the spec alone determines (label/property pruning);
-// script-variable id arguments stay unresolved.
+// script-variable id arguments stay unresolved, and endpoint lookups show
+// their runtime-bound ids as '?'.
 Status ExplainSteps(const Db2GraphProvider* provider,
                     const std::vector<Step>& steps, QueryTrace* trace) {
+  // The edge lookup of the latest edge-emitting step, whose edges an
+  // EdgeVertexStep resolves.
+  std::optional<LookupSpec> edges_spec;
   for (const Step& step : steps) {
     int span = trace->BeginStep(gremlin::StepKindName(step.kind),
                                 step.ToString(), 0);
@@ -537,28 +544,32 @@ Status ExplainSteps(const Db2GraphProvider* provider,
       for (const GremlinArg& a : step.dst_id_args) {
         if (!a.is_var()) spec.dst_ids.push_back(a.literal);
       }
-      st = step.graph_emits_edges ? provider->ExplainEdges(spec, &previews)
-                                  : provider->ExplainVertices(spec, &previews);
+      if (step.graph_emits_edges) {
+        st = provider->ExplainEdges(spec, &previews);
+        edges_spec = spec;
+      } else {
+        st = provider->ExplainVertices(spec, &previews);
+      }
       if (st.ok()) AddPreviews(trace, previews);
     } else if (step.kind == StepKind::kVertex) {
-      // Mirror the interpreter's edge spec: labels always constrain the
-      // edge fetch; pushdown payload applies to edges only for outE/inE.
-      LookupSpec edge_spec;
-      edge_spec.labels = step.edge_labels;
-      if (!step.to_vertex) {
-        edge_spec.predicates = step.spec.predicates;
-        edge_spec.projection = step.spec.projection;
-        edge_spec.has_projection = step.spec.has_projection;
-      }
+      LookupSpec edge_spec = gremlin::AdjacencyEdgeSpec(step);
       st = provider->ExplainEdges(edge_spec, &previews);
       if (st.ok() && step.to_vertex) {
         AddPreviews(trace, previews);
         previews.clear();
-        st = provider->ExplainVertices(step.spec, &previews);
+        Direction endpoint = step.direction == Direction::kOut ? Direction::kIn
+                             : step.direction == Direction::kIn
+                                 ? Direction::kOut
+                                 : Direction::kBoth;
+        st = provider->ExplainEdgeEndpoints(edge_spec, endpoint, step.spec,
+                                            &previews);
       }
+      if (!step.to_vertex) edges_spec = edge_spec;
       if (st.ok()) AddPreviews(trace, previews);
     } else if (step.kind == StepKind::kEdgeVertex) {
-      st = provider->ExplainVertices(step.spec, &previews);
+      st = edges_spec ? provider->ExplainEdgeEndpoints(
+                            *edges_spec, step.direction, step.spec, &previews)
+                      : provider->ExplainVertices(step.spec, &previews);
       if (st.ok()) AddPreviews(trace, previews);
     } else if (step.kind == StepKind::kMultiHop &&
                step.multi_hop != nullptr) {

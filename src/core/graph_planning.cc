@@ -142,6 +142,10 @@ std::string ShapeKey(const std::string& table, const std::string& select,
   return key;
 }
 
+namespace {
+
+// SQL comparison operator for a scalar predicate op; nullptr for
+// within/without/exists (handled separately).
 const char* SqlOpFor(PropPredicate::Op op) {
   switch (op) {
     case PropPredicate::Op::kEq:
@@ -160,8 +164,6 @@ const char* SqlOpFor(PropPredicate::Op op) {
       return nullptr;  // within / without / exists handled separately
   }
 }
-
-namespace {
 
 void AppendCondParts(const QueryConds& conds, std::vector<std::string>* parts,
                      std::vector<Value>* params) {
@@ -277,66 +279,6 @@ Value ComposeField(const ResolvedField& field, const FetchLayout& layout,
   return Value(std::move(out));
 }
 
-// ----------------------------------------------------------------------
-// Id decomposition
-// ----------------------------------------------------------------------
-
-bool TypeCompatible(const Value& v, sql::ColumnType column_type) {
-  if (v.is_null()) return false;
-  switch (column_type) {
-    case sql::ColumnType::kInt:
-    case sql::ColumnType::kDouble:
-      return v.is_numeric();
-    case sql::ColumnType::kString:
-      return v.is_string();
-    case sql::ColumnType::kBool:
-      return v.is_bool();
-  }
-  return true;
-}
-
-IdCondResult BuildIdConds(const ResolvedField& field,
-                          const sql::TableSchema& schema,
-                          const std::vector<Value>& ids, QueryConds* conds) {
-  IdCondResult result;
-  std::vector<std::vector<Value>> decomposed;
-  for (const Value& id : ids) {
-    if (auto values = field.Decompose(id)) {
-      bool compatible = true;
-      for (size_t i = 0; i < values->size(); ++i) {
-        compatible &= TypeCompatible(
-            (*values)[i],
-            schema.columns[field.column_indexes[i]].type);
-      }
-      if (compatible) decomposed.push_back(std::move(*values));
-    }
-  }
-  if (decomposed.empty()) return result;
-  result.any_match = true;
-  if (field.column_indexes.size() == 1) {
-    SqlCond cond;
-    cond.column = schema.columns[field.column_indexes[0]].name;
-    cond.op = "IN";
-    for (auto& values : decomposed) cond.params.push_back(values[0]);
-    conds->conjuncts.push_back(std::move(cond));
-    return result;
-  }
-  std::vector<std::vector<SqlCond>> group;
-  for (auto& values : decomposed) {
-    std::vector<SqlCond> conjunction;
-    for (size_t i = 0; i < field.column_indexes.size(); ++i) {
-      SqlCond cond;
-      cond.column = schema.columns[field.column_indexes[i]].name;
-      cond.op = "=";
-      cond.params.push_back(values[i]);
-      conjunction.push_back(std::move(cond));
-    }
-    group.push_back(std::move(conjunction));
-  }
-  conds->or_groups.push_back(std::move(group));
-  return result;
-}
-
 bool MatchesEdgeSpec(const gremlin::Edge& e, const LookupSpec& spec) {
   if (!gremlin::MatchesSpec(e, spec)) return false;
   if (!spec.src_ids.empty() &&
@@ -351,6 +293,80 @@ bool MatchesEdgeSpec(const gremlin::Edge& e, const LookupSpec& spec) {
   }
   return true;
 }
+
+// ----------------------------------------------------------------------
+// Id decomposition
+// ----------------------------------------------------------------------
+
+namespace {
+
+// A decomposed id component can only match rows when its runtime type is
+// compatible with the column's declared type; a string id like
+// "patient::1" can never live in a BIGINT key column. This is what makes
+// prefixed (and otherwise type-distinct) ids pin down the exact table.
+bool TypeCompatible(const Value& v, sql::ColumnType column_type) {
+  if (v.is_null()) return false;
+  switch (column_type) {
+    case sql::ColumnType::kInt:
+    case sql::ColumnType::kDouble:
+      return v.is_numeric();
+    case sql::ColumnType::kString:
+      return v.is_string();
+    case sql::ColumnType::kBool:
+      return v.is_bool();
+  }
+  return true;
+}
+
+// Builds conditions constraining `field` to one of `ids` (single-column
+// fields become an IN conjunct, multi-column fields an OR-group). False
+// means no id can belong to this definition.
+bool BuildIdConds(const ResolvedField& field, const sql::TableSchema& schema,
+                  const std::vector<Value>& ids, QueryConds* conds) {
+  std::vector<std::vector<Value>> decomposed;
+  for (const Value& id : ids) {
+    if (auto values = field.Decompose(id)) {
+      bool compatible = true;
+      for (size_t i = 0; i < values->size(); ++i) {
+        compatible &= TypeCompatible(
+            (*values)[i],
+            schema.columns[field.column_indexes[i]].type);
+      }
+      if (compatible) decomposed.push_back(std::move(*values));
+    }
+  }
+  if (decomposed.empty()) return false;
+  if (field.column_indexes.size() == 1) {
+    SqlCond cond;
+    cond.column = schema.columns[field.column_indexes[0]].name;
+    cond.op = "IN";
+    for (auto& values : decomposed) cond.params.push_back(values[0]);
+    conds->conjuncts.push_back(std::move(cond));
+    return true;
+  }
+  std::vector<std::vector<SqlCond>> group;
+  for (auto& values : decomposed) {
+    std::vector<SqlCond> conjunction;
+    for (size_t i = 0; i < field.column_indexes.size(); ++i) {
+      SqlCond cond;
+      cond.column = schema.columns[field.column_indexes[i]].name;
+      cond.op = "=";
+      cond.params.push_back(values[i]);
+      conjunction.push_back(std::move(cond));
+    }
+    group.push_back(std::move(conjunction));
+  }
+  conds->or_groups.push_back(std::move(group));
+  return true;
+}
+
+// Splits an implicit edge id "srcParts::label::dstParts" against an edge
+// table's definitions; nullopt when it cannot belong to this table.
+struct ImplicitIdParts {
+  std::vector<Value> src_values;
+  std::string label;
+  std::vector<Value> dst_values;
+};
 
 std::optional<ImplicitIdParts> DecomposeImplicitEdgeId(
     const ResolvedEdgeTable& table, const Value& id) {
@@ -393,73 +409,80 @@ std::optional<ImplicitIdParts> DecomposeImplicitEdgeId(
 // Per-table lookup plans
 // ----------------------------------------------------------------------
 
-VertexPlan PlanVertexTable(const ResolvedVertexTable& t,
-                           const LookupSpec& spec,
-                           const RuntimeOptions& options) {
-  VertexPlan plan;
-  const sql::TableSchema& schema = *t.schema;
-
-  // Fixed-label pruning (Section 6.3 "Using Label Values").
-  if (!spec.labels.empty()) {
-    if (t.conf.label.fixed) {
-      bool matches = std::find(spec.labels.begin(), spec.labels.end(),
-                               t.conf.label.value) != spec.labels.end();
-      if (!matches) {
-        if (options.label_pruning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      }
-    } else {
-      SqlCond cond;
-      cond.column = schema.columns[*t.label_column].name;
-      cond.op = "IN";
-      cond.params.reserve(spec.labels.size());
-      for (const std::string& l : spec.labels) cond.params.emplace_back(l);
-      plan.conds.conjuncts.push_back(cond);
-      plan.predicate_columns.push_back(cond.column);
-    }
+// Each step below narrows `plan` for one kind of spec constraint. A
+// constraint no row of the table can meet prunes the table when its
+// Section 6.3 optimization is on (plan->skip; the step returns false),
+// and otherwise falls back to fetching everything and filtering in the
+// provider (plan->client_filter).
+bool PruneOrFilter(bool enabled, TablePlan* plan) {
+  if (enabled) {
+    plan->skip = true;
+    return false;
   }
+  plan->client_filter = true;
+  return true;
+}
 
-  // Prefixed-id pinning / composite-id decomposition.
-  if (!spec.ids.empty()) {
-    QueryConds id_conds;
-    IdCondResult r = BuildIdConds(t.id, schema, spec.ids, &id_conds);
-    if (!r.any_match) {
-      if (options.prefixed_id_pinning) {
-        plan.skip = true;
-        return plan;
-      }
-      plan.client_filter = true;
-    } else {
-      for (auto& c : id_conds.conjuncts) {
-        plan.predicate_columns.push_back(c.column);
-        plan.conds.conjuncts.push_back(std::move(c));
-      }
-      for (auto& g : id_conds.or_groups) {
-        if (!g.empty() && !g[0].empty()) {
-          for (const SqlCond& c : g[0]) {
-            plan.predicate_columns.push_back(c.column);
-          }
-        }
-        plan.conds.or_groups.push_back(std::move(g));
+// Fixed-label pruning (Section 6.3 "Using Label Values"), or a label IN
+// condition on a label column.
+template <typename Table>
+bool PlanLabels(const Table& t, const LookupSpec& spec,
+                const RuntimeOptions& options, TablePlan* plan) {
+  if (spec.labels.empty()) return true;
+  if (t.conf.label.fixed) {
+    bool matches = std::find(spec.labels.begin(), spec.labels.end(),
+                             t.conf.label.value) != spec.labels.end();
+    return matches || PruneOrFilter(options.label_pruning, plan);
+  }
+  SqlCond cond;
+  cond.column = t.schema->columns[*t.label_column].name;
+  cond.op = "IN";
+  cond.params.reserve(spec.labels.size());
+  for (const std::string& l : spec.labels) cond.params.emplace_back(l);
+  plan->predicate_columns.push_back(cond.column);
+  plan->conds.conjuncts.push_back(std::move(cond));
+  return true;
+}
+
+// Prefixed-id pinning / composite-id decomposition: constrains `field`
+// to `ids` (no-op when empty).
+bool PlanIds(const ResolvedField& field, const sql::TableSchema& schema,
+             const std::vector<Value>& ids, const RuntimeOptions& options,
+             TablePlan* plan) {
+  if (ids.empty()) return true;
+  QueryConds conds;
+  if (!BuildIdConds(field, schema, ids, &conds)) {
+    return PruneOrFilter(options.prefixed_id_pinning, plan);
+  }
+  for (SqlCond& c : conds.conjuncts) {
+    plan->predicate_columns.push_back(c.column);
+    plan->conds.conjuncts.push_back(std::move(c));
+  }
+  for (auto& group : conds.or_groups) {
+    if (!group.empty()) {
+      for (const SqlCond& c : group[0]) {
+        plan->predicate_columns.push_back(c.column);
       }
     }
+    plan->conds.or_groups.push_back(std::move(group));
   }
+  return true;
+}
 
-  // Property predicates: pushdown + property-name pruning.
+// Property predicates: pushdown + property-name pruning; then
+// projection-based pruning — a traversal that only consumes projected
+// properties gets nothing from a table having none of them.
+template <typename Table>
+bool PlanProperties(const Table& t, const LookupSpec& spec,
+                    const RuntimeOptions& options, TablePlan* plan) {
   for (const PropPredicate& pred : spec.predicates) {
     if (pred.key == gremlin::kIdKey || pred.key == gremlin::kLabelKey) {
-      plan.client_filter = true;  // rare; resolved after materialization
+      plan->client_filter = true;  // rare; resolved after materialization
       continue;
     }
     if (!t.HasProperty(pred.key)) {
-      if (options.property_pruning) {
-        plan.skip = true;  // no row of this table can have the property
-        return plan;
-      }
-      plan.client_filter = true;
+      // No row of this table can have the property.
+      if (!PruneOrFilter(options.property_pruning, plan)) return false;
       continue;
     }
     // Locate the schema column behind the property.
@@ -470,45 +493,112 @@ VertexPlan PlanVertexTable(const ResolvedVertexTable& t,
         break;
       }
     }
-    const std::string& column_name = schema.columns[column].name;
     SqlCond cond;
-    cond.column = column_name;
+    cond.column = t.schema->columns[column].name;
     if (pred.op == PropPredicate::Op::kExists) {
       cond.op = "NOTNULL";
     } else if (pred.op == PropPredicate::Op::kWithin) {
       cond.op = "IN";
       cond.params = pred.values;
     } else if (pred.op == PropPredicate::Op::kWithout) {
-      plan.client_filter = true;  // NOT IN needs null care; keep client-side
+      plan->client_filter = true;  // NOT IN needs null care; keep client-side
       continue;
     } else {
       const char* op = SqlOpFor(pred.op);
       if (op == nullptr) {
-        plan.client_filter = true;
+        plan->client_filter = true;
         continue;
       }
       cond.op = op;
       cond.params = pred.values;
     }
-    plan.predicate_columns.push_back(column_name);
-    plan.conds.conjuncts.push_back(std::move(cond));
+    plan->predicate_columns.push_back(cond.column);
+    plan->conds.conjuncts.push_back(std::move(cond));
   }
 
-  // Projection-based pruning: a traversal that only consumes projected
-  // properties gets nothing from a table having none of them.
   if (spec.has_projection && !spec.projection.empty() &&
-      options.property_pruning) {
-    bool any = false;
-    for (const std::string& key : spec.projection) {
-      if (t.HasProperty(key)) {
-        any = true;
-        break;
-      }
+      options.property_pruning &&
+      std::none_of(spec.projection.begin(), spec.projection.end(),
+                   [&t](const std::string& key) {
+                     return t.HasProperty(key);
+                   })) {
+    plan->skip = true;
+    return false;
+  }
+  return true;
+}
+
+// Appends the property columns a fetch under `spec` needs
+// (projection-aware).
+template <typename Table>
+void AppendPropertyColumns(const Table& t, const LookupSpec& spec,
+                           std::vector<size_t>* cols) {
+  for (size_t i = 0; i < t.properties.size(); ++i) {
+    if (spec.has_projection &&
+        std::none_of(spec.projection.begin(), spec.projection.end(),
+                     [&](const std::string& key) {
+                       return EqualsIgnoreCase(key, t.properties[i]);
+                     })) {
+      continue;
     }
-    if (!any) {
-      plan.skip = true;
-      return plan;
+    cols->push_back(t.property_columns[i]);
+  }
+}
+
+// Edge-id constraints for implicit ids: each id decomposes into src +
+// label + dst conjunctive predicates (Section 6.3).
+bool PlanImplicitEdgeIds(const ResolvedEdgeTable& t,
+                         const std::vector<Value>& ids,
+                         const RuntimeOptions& options, TablePlan* plan) {
+  if (ids.empty()) return true;
+  const sql::TableSchema& schema = *t.schema;
+  auto equals = [&schema](size_t column, Value value) {
+    SqlCond c;
+    c.column = schema.columns[column].name;
+    c.op = "=";
+    c.params = {std::move(value)};
+    return c;
+  };
+  std::vector<std::vector<SqlCond>> group;
+  for (const Value& id : ids) {
+    auto parts = DecomposeImplicitEdgeId(t, id);
+    if (!parts) continue;
+    if (t.conf.label.fixed && parts->label != t.conf.label.value) {
+      continue;  // label encoded in the id does not match this table
     }
+    std::vector<SqlCond> conjunction;
+    for (size_t i = 0; i < t.src_v.column_indexes.size(); ++i) {
+      conjunction.push_back(
+          equals(t.src_v.column_indexes[i], parts->src_values[i]));
+    }
+    for (size_t i = 0; i < t.dst_v.column_indexes.size(); ++i) {
+      conjunction.push_back(
+          equals(t.dst_v.column_indexes[i], parts->dst_values[i]));
+    }
+    if (!t.conf.label.fixed) {
+      conjunction.push_back(equals(*t.label_column, Value(parts->label)));
+    }
+    group.push_back(std::move(conjunction));
+  }
+  if (group.empty()) {
+    return PruneOrFilter(options.implicit_edge_id_decomposition, plan);
+  }
+  for (const SqlCond& c : group[0]) {
+    plan->predicate_columns.push_back(c.column);
+  }
+  plan->conds.or_groups.push_back(std::move(group));
+  return true;
+}
+
+}  // namespace
+
+TablePlan PlanVertexTable(const ResolvedVertexTable& t,
+                          const LookupSpec& spec,
+                          const RuntimeOptions& options) {
+  TablePlan plan;
+  if (PlanLabels(t, spec, options, &plan) &&
+      PlanIds(t.id, *t.schema, spec.ids, options, &plan)) {
+    PlanProperties(t, spec, options, &plan);
   }
   return plan;
 }
@@ -517,210 +607,22 @@ std::vector<size_t> VertexFetchColumns(const ResolvedVertexTable& t,
                                        const LookupSpec& spec) {
   std::vector<size_t> cols = t.id.column_indexes;
   if (t.label_column) cols.push_back(*t.label_column);
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    if (spec.has_projection) {
-      bool wanted = false;
-      for (const std::string& key : spec.projection) {
-        if (EqualsIgnoreCase(key, t.properties[i])) {
-          wanted = true;
-          break;
-        }
-      }
-      if (!wanted) continue;
-    }
-    cols.push_back(t.property_columns[i]);
-  }
+  AppendPropertyColumns(t, spec, &cols);
   return cols;
 }
 
-EdgePlan PlanEdgeTable(const ResolvedEdgeTable& t, const LookupSpec& spec,
-                       const RuntimeOptions& options) {
-  EdgePlan plan;
-  const sql::TableSchema& schema = *t.schema;
-
-  // Fixed-label pruning.
-  if (!spec.labels.empty()) {
-    if (t.conf.label.fixed) {
-      bool matches = std::find(spec.labels.begin(), spec.labels.end(),
-                               t.conf.label.value) != spec.labels.end();
-      if (!matches) {
-        if (options.label_pruning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      }
-    } else {
-      SqlCond cond;
-      cond.column = schema.columns[*t.label_column].name;
-      cond.op = "IN";
-      cond.params.reserve(spec.labels.size());
-      for (const std::string& l : spec.labels) cond.params.emplace_back(l);
-      plan.predicate_columns.push_back(cond.column);
-      plan.conds.conjuncts.push_back(std::move(cond));
-    }
-  }
-
-  // Endpoint constraints via src/dst id decomposition.
-  auto endpoint = [&](const ResolvedField& field,
-                      const std::vector<Value>& ids) {
-    if (ids.empty() || plan.skip) return;
-    QueryConds conds;
-    IdCondResult r = BuildIdConds(field, schema, ids, &conds);
-    if (!r.any_match) {
-      if (options.prefixed_id_pinning) {
-        plan.skip = true;
-        return;
-      }
-      plan.client_filter = true;
-      return;
-    }
-    for (auto& c : conds.conjuncts) {
-      plan.predicate_columns.push_back(c.column);
-      plan.conds.conjuncts.push_back(std::move(c));
-    }
-    for (auto& g : conds.or_groups) {
-      if (!g.empty()) {
-        for (const SqlCond& c : g[0]) {
-          plan.predicate_columns.push_back(c.column);
-        }
-      }
-      plan.conds.or_groups.push_back(std::move(g));
-    }
-  };
-  endpoint(t.src_v, spec.src_ids);
-  if (plan.skip) return plan;
-  endpoint(t.dst_v, spec.dst_ids);
-  if (plan.skip) return plan;
-
-  // Edge-id constraints: explicit ids decompose like vertex ids; implicit
-  // ids decompose into src + label + dst conjunctive predicates.
-  if (!spec.ids.empty()) {
-    if (!t.conf.implicit_edge_id) {
-      QueryConds conds;
-      IdCondResult r = BuildIdConds(t.id, schema, spec.ids, &conds);
-      if (!r.any_match) {
-        if (options.prefixed_id_pinning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      } else {
-        for (auto& c : conds.conjuncts) {
-          plan.predicate_columns.push_back(c.column);
-          plan.conds.conjuncts.push_back(std::move(c));
-        }
-        for (auto& g : conds.or_groups) {
-          plan.conds.or_groups.push_back(std::move(g));
-        }
-      }
-    } else {
-      std::vector<std::vector<SqlCond>> group;
-      for (const Value& id : spec.ids) {
-        auto parts = DecomposeImplicitEdgeId(t, id);
-        if (!parts) continue;
-        if (t.conf.label.fixed && parts->label != t.conf.label.value) {
-          continue;  // label encoded in the id does not match this table
-        }
-        std::vector<SqlCond> conjunction;
-        for (size_t i = 0; i < t.src_v.column_indexes.size(); ++i) {
-          SqlCond c;
-          c.column = schema.columns[t.src_v.column_indexes[i]].name;
-          c.op = "=";
-          c.params = {parts->src_values[i]};
-          conjunction.push_back(std::move(c));
-        }
-        for (size_t i = 0; i < t.dst_v.column_indexes.size(); ++i) {
-          SqlCond c;
-          c.column = schema.columns[t.dst_v.column_indexes[i]].name;
-          c.op = "=";
-          c.params = {parts->dst_values[i]};
-          conjunction.push_back(std::move(c));
-        }
-        if (!t.conf.label.fixed) {
-          SqlCond c;
-          c.column = schema.columns[*t.label_column].name;
-          c.op = "=";
-          c.params = {Value(parts->label)};
-          conjunction.push_back(std::move(c));
-        }
-        group.push_back(std::move(conjunction));
-      }
-      if (group.empty()) {
-        if (options.implicit_edge_id_decomposition) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      } else {
-        if (!group[0].empty()) {
-          for (const SqlCond& c : group[0]) {
-            plan.predicate_columns.push_back(c.column);
-          }
-        }
-        plan.conds.or_groups.push_back(std::move(group));
-      }
-    }
-  }
-
-  // Property predicates.
-  for (const PropPredicate& pred : spec.predicates) {
-    if (pred.key == gremlin::kIdKey || pred.key == gremlin::kLabelKey) {
-      plan.client_filter = true;
-      continue;
-    }
-    if (!t.HasProperty(pred.key)) {
-      if (options.property_pruning) {
-        plan.skip = true;
-        return plan;
-      }
-      plan.client_filter = true;
-      continue;
-    }
-    size_t column = 0;
-    for (size_t i = 0; i < t.properties.size(); ++i) {
-      if (EqualsIgnoreCase(t.properties[i], pred.key)) {
-        column = t.property_columns[i];
-        break;
-      }
-    }
-    const std::string& column_name = schema.columns[column].name;
-    SqlCond cond;
-    cond.column = column_name;
-    if (pred.op == PropPredicate::Op::kExists) {
-      cond.op = "NOTNULL";
-    } else if (pred.op == PropPredicate::Op::kWithin) {
-      cond.op = "IN";
-      cond.params = pred.values;
-    } else if (pred.op == PropPredicate::Op::kWithout) {
-      plan.client_filter = true;
-      continue;
-    } else {
-      const char* op = SqlOpFor(pred.op);
-      if (op == nullptr) {
-        plan.client_filter = true;
-        continue;
-      }
-      cond.op = op;
-      cond.params = pred.values;
-    }
-    plan.predicate_columns.push_back(column_name);
-    plan.conds.conjuncts.push_back(std::move(cond));
-  }
-
-  if (spec.has_projection && !spec.projection.empty() &&
-      options.property_pruning) {
-    bool any = false;
-    for (const std::string& key : spec.projection) {
-      if (t.HasProperty(key)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      plan.skip = true;
-      return plan;
-    }
+TablePlan PlanEdgeTable(const ResolvedEdgeTable& t, const LookupSpec& spec,
+                        const RuntimeOptions& options) {
+  TablePlan plan;
+  // Endpoint constraints decompose like vertex ids; so do explicit edge
+  // ids, while implicit ones split into src + label + dst predicates.
+  if (PlanLabels(t, spec, options, &plan) &&
+      PlanIds(t.src_v, *t.schema, spec.src_ids, options, &plan) &&
+      PlanIds(t.dst_v, *t.schema, spec.dst_ids, options, &plan) &&
+      (t.conf.implicit_edge_id
+           ? PlanImplicitEdgeIds(t, spec.ids, options, &plan)
+           : PlanIds(t.id, *t.schema, spec.ids, options, &plan))) {
+    PlanProperties(t, spec, options, &plan);
   }
   return plan;
 }
@@ -735,20 +637,22 @@ std::vector<size_t> EdgeFetchColumns(const ResolvedEdgeTable& t,
                 t.id.column_indexes.end());
   }
   if (t.label_column) cols.push_back(*t.label_column);
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    if (spec.has_projection) {
-      bool wanted = false;
-      for (const std::string& key : spec.projection) {
-        if (EqualsIgnoreCase(key, t.properties[i])) {
-          wanted = true;
-          break;
-        }
-      }
-      if (!wanted) continue;
-    }
-    cols.push_back(t.property_columns[i]);
-  }
+  AppendPropertyColumns(t, spec, &cols);
   return cols;
+}
+
+std::string TableStatement::ShapeKey() const {
+  return core::ShapeKey(table, select, conds, limit);
+}
+
+std::string TableStatement::Sql(std::vector<Value>* params) const {
+  return BuildSql(table, select, conds, params, limit);
+}
+
+std::vector<Value> TableStatement::Params() const {
+  std::vector<Value> params;
+  CollectParams(conds, &params);
+  return params;
 }
 
 std::string PredictAccessPath(const sql::Database* db,

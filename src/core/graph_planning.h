@@ -4,9 +4,9 @@
 // time lookups, paper Section 6) and the multi-hop join optimizer (which
 // collapses hop chains into one N-way join). Everything here is pure
 // planning — condition construction, select-list layout, shape keys for
-// the SQL-skeleton cache, access-path prediction — with no data access,
-// so the optimizer can cost and render candidate joins at compile time
-// using exactly the logic execution will use.
+// the dialect's statement cache, access-path prediction — with no data
+// access, so the optimizer can cost and render candidate joins at compile
+// time using exactly the logic execution will use.
 
 #ifndef DB2GRAPH_CORE_GRAPH_PLANNING_H_
 #define DB2GRAPH_CORE_GRAPH_PLANNING_H_
@@ -64,8 +64,8 @@ std::string BuildSql(const std::string& table, const std::string& select,
 
 /// Extracts the parameter values of `conds` in exactly the order
 /// BuildSql/RenderCond would push them (NOTNULL contributes none, IN all
-/// of its values, a scalar comparison its first) — so a cached SQL
-/// skeleton can execute with fresh values and no string assembly.
+/// of its values, a scalar comparison its first) — so a cached statement
+/// can execute with fresh values and no string assembly.
 void CollectParams(const QueryConds& conds, std::vector<Value>* params);
 
 /// A key that uniquely determines the SQL text BuildSql would produce:
@@ -74,10 +74,6 @@ void CollectParams(const QueryConds& conds, std::vector<Value>* params);
 /// the parameter values.
 std::string ShapeKey(const std::string& table, const std::string& select,
                      const QueryConds& conds, int64_t limit = -1);
-
-/// SQL comparison operator for a scalar predicate op; nullptr for
-/// within/without/exists (handled separately).
-const char* SqlOpFor(gremlin::PropPredicate::Op op);
 
 /// One table of a multi-hop collapsed join: base table, statement alias,
 /// and the conditions whose leftmost binding scope is this table (the
@@ -98,7 +94,7 @@ std::string BuildJoinSql(const std::vector<JoinStage>& stages,
                          std::vector<Value>* params);
 
 /// Shape key uniquely determining BuildJoinSql's text (everything except
-/// parameter values), for the SQL-skeleton cache.
+/// parameter values), for the dialect's statement cache.
 std::string JoinShapeKey(const std::vector<JoinStage>& stages,
                          const std::string& select);
 
@@ -144,75 +140,61 @@ std::string SelectListFor(const sql::TableSchema& schema,
 Value ComposeField(const overlay::ResolvedField& field,
                    const FetchLayout& layout, const Row& fetched);
 
-// ----------------------------------------------------------------------
-// Id decomposition into conditions
-// ----------------------------------------------------------------------
-
-struct IdCondResult {
-  bool any_match = false;
-};
-
-/// A decomposed id component can only match rows when its runtime type is
-/// compatible with the column's declared type; a string id like
-/// "patient::1" can never live in a BIGINT key column. This is what makes
-/// prefixed (and otherwise type-distinct) ids pin down the exact table.
-bool TypeCompatible(const Value& v, sql::ColumnType column_type);
-
-/// Builds conditions constraining `field` to one of `ids` (single-column
-/// fields become an IN conjunct, multi-column fields an OR-group).
-/// any_match=false means no id can belong to this definition.
-IdCondResult BuildIdConds(const overlay::ResolvedField& field,
-                          const sql::TableSchema& schema,
-                          const std::vector<Value>& ids, QueryConds* conds);
-
 /// Extends gremlin::MatchesSpec with edge endpoint checks, for the naive
 /// (client-filter) execution paths.
 bool MatchesEdgeSpec(const gremlin::Edge& e, const gremlin::LookupSpec& spec);
-
-/// Splits an implicit edge id "srcParts::label::dstParts" against an edge
-/// table's definitions; nullopt when it cannot belong to this table.
-struct ImplicitIdParts {
-  std::vector<Value> src_values;
-  std::string label;
-  std::vector<Value> dst_values;
-};
-std::optional<ImplicitIdParts> DecomposeImplicitEdgeId(
-    const overlay::ResolvedEdgeTable& table, const Value& id);
 
 // ----------------------------------------------------------------------
 // Per-table lookup plans
 // ----------------------------------------------------------------------
 
-/// Per-table vertex query plan shared by Vertices, the aggregates, and
-/// the multi-hop optimizer's legality checks.
-struct VertexPlan {
+/// Per-table lookup plan shared by the provider's lookups, the
+/// aggregates, Explain, and the multi-hop optimizer's legality checks.
+struct TablePlan {
   bool skip = false;
   bool client_filter = false;  // fetch everything, filter in the provider
   QueryConds conds;
   std::vector<std::string> predicate_columns;  // for the index advisor
 };
 
-VertexPlan PlanVertexTable(const overlay::ResolvedVertexTable& t,
-                           const gremlin::LookupSpec& spec,
-                           const RuntimeOptions& options);
+TablePlan PlanVertexTable(const overlay::ResolvedVertexTable& t,
+                          const gremlin::LookupSpec& spec,
+                          const RuntimeOptions& options);
 
 /// Columns a vertex fetch needs under `spec` (projection-aware).
 std::vector<size_t> VertexFetchColumns(const overlay::ResolvedVertexTable& t,
                                        const gremlin::LookupSpec& spec);
 
-struct EdgePlan {
-  bool skip = false;
-  bool client_filter = false;
-  QueryConds conds;
-  std::vector<std::string> predicate_columns;
-};
-
-EdgePlan PlanEdgeTable(const overlay::ResolvedEdgeTable& t,
-                       const gremlin::LookupSpec& spec,
-                       const RuntimeOptions& options);
+TablePlan PlanEdgeTable(const overlay::ResolvedEdgeTable& t,
+                        const gremlin::LookupSpec& spec,
+                        const RuntimeOptions& options);
 
 std::vector<size_t> EdgeFetchColumns(const overlay::ResolvedEdgeTable& t,
                                      const gremlin::LookupSpec& spec);
+
+/// The one statement a lookup issues against one overlay table: a fetch
+/// of `layout`'s columns, or (for an aggregate spec) the aggregate's
+/// select list. The materialized fetch, the vertex stream, the aggregates
+/// and Explain all render and key it here, so a preview is by
+/// construction the statement execution runs.
+struct TableStatement {
+  int table_index = 0;
+  std::string table;
+  /// Full-row fetch without conditions, filtered in the provider.
+  bool client_filter = false;
+  FetchLayout layout;  // fetched columns (fetch statements only)
+  std::string select;
+  QueryConds conds;
+  int64_t limit = -1;
+  std::vector<std::string> predicate_columns;  // for the index advisor
+
+  /// Key for the dialect's statement cache (see ShapeKey()).
+  std::string ShapeKey() const;
+  /// The SQL text, pushing its parameters into `*params`.
+  std::string Sql(std::vector<Value>* params) const;
+  /// The parameters alone, in Sql()'s order.
+  std::vector<Value> Params() const;
+};
 
 /// Predicts the access path the executor would pick for `conds` against
 /// `table` from index availability: an equality/IN conjunct backed by an

@@ -1,13 +1,16 @@
 #include "core/graph_structure.h"
 
-#include "core/graph_planning.h"
 #include "core/optimizer.h"
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
+#include <numeric>
+#include <optional>
+#include <set>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -32,26 +35,257 @@ using overlay::ResolvedEdgeTable;
 using overlay::ResolvedField;
 using overlay::ResolvedVertexTable;
 
+namespace {
+
+// Per table, the layout of a full-row fetch: every schema column, in
+// schema order.
+template <typename Table>
+std::vector<FetchLayout> FullRowLayouts(const std::vector<Table>& tables) {
+  std::vector<FetchLayout> layouts;
+  for (const Table& t : tables) {
+    std::vector<size_t> cols(t.schema->columns.size());
+    std::iota(cols.begin(), cols.end(), size_t{0});
+    layouts.push_back(MakeLayout(*t.schema, std::move(cols)));
+  }
+  return layouts;
+}
+
+// The aggregate select list `spec` pushes down to table `t`; nullopt when
+// the table lacks the aggregated property and so contributes nothing.
+template <typename Table>
+std::optional<std::string> AggregateSelect(const Table& t,
+                                           const LookupSpec& spec) {
+  std::string column;  // quoted; count(*) needs none
+  if (spec.agg != AggOp::kCount || !spec.agg_key.empty()) {
+    for (size_t i = 0; i < t.properties.size(); ++i) {
+      if (EqualsIgnoreCase(t.properties[i], spec.agg_key)) {
+        column = "\"" + t.schema->columns[t.property_columns[i]].name + "\"";
+        break;
+      }
+    }
+    if (column.empty()) return std::nullopt;
+  }
+  switch (spec.agg) {
+    case AggOp::kCount:
+      return column.empty() ? "COUNT(*)" : "COUNT(" + column + ")";
+    case AggOp::kSum:
+    case AggOp::kMean:
+      return "SUM(" + column + "), COUNT(" + column + ")";
+    case AggOp::kMin:
+      return "MIN(" + column + ")";
+    case AggOp::kMax:
+      return "MAX(" + column + ")";
+    case AggOp::kNone:
+      break;
+  }
+  return std::nullopt;
+}
+
+// Plans every table of `subset` (all of `tables` when null) in order,
+// handing each surviving table's statement to `on_planned` and each
+// pruned table's name to `on_pruned`. Aggregate tables without the
+// aggregated property contribute nothing. An aggregate that needs
+// client-side filtering is Unsupported — the caller falls back to
+// fetching — after the tables before it were handed on.
+template <typename Table, typename OnPruned, typename OnPlanned>
+Status PlanTables(const std::vector<Table>& tables,
+                  const std::vector<int>* subset, const LookupSpec& spec,
+                  bool aggregate, const RuntimeOptions& options,
+                  TablePlan (*plan_table)(const Table&, const LookupSpec&,
+                                          const RuntimeOptions&),
+                  std::vector<size_t> (*fetch_columns)(const Table&,
+                                                       const LookupSpec&),
+                  const std::vector<FetchLayout>& full_rows,
+                  const OnPruned& on_pruned, const OnPlanned& on_planned) {
+  auto plan_one = [&](int ti) -> Status {
+    const Table& t = tables[static_cast<size_t>(ti)];
+    TablePlan plan = plan_table(t, spec, options);
+    if (aggregate && plan.client_filter) {
+      return Status::Unsupported(
+          "aggregate requires client-side filtering; falling back");
+    }
+    if (plan.skip) {
+      on_pruned(t.conf.table_name);
+      return Status::OK();
+    }
+    TableStatement stmt;
+    stmt.table_index = ti;
+    stmt.table = t.conf.table_name;
+    stmt.client_filter = plan.client_filter;
+    if (aggregate) {
+      std::optional<std::string> select = AggregateSelect(t, spec);
+      if (!select) return Status::OK();
+      stmt.select = std::move(*select);
+    } else {
+      // A client-filtered fetch reads full rows without conditions, and
+      // must not be truncated by the per-table row budget before the
+      // provider filters it; a pushed-down fetch reads only the projected
+      // layout.
+      stmt.layout = plan.client_filter
+                        ? full_rows[static_cast<size_t>(ti)]
+                        : MakeLayout(*t.schema, fetch_columns(t, spec));
+      stmt.select = SelectListFor(*t.schema, stmt.layout);
+      if (!plan.client_filter) stmt.limit = spec.limit;
+    }
+    if (!plan.client_filter) stmt.conds = std::move(plan.conds);
+    stmt.predicate_columns = std::move(plan.predicate_columns);
+    on_planned(std::move(stmt));
+    return Status::OK();
+  };
+  if (subset == nullptr) {
+    for (size_t ti = 0; ti < tables.size(); ++ti) {
+      DB2G_RETURN_NOT_OK(plan_one(static_cast<int>(ti)));
+    }
+  } else {
+    for (int ti : *subset) DB2G_RETURN_NOT_OK(plan_one(ti));
+  }
+  return Status::OK();
+}
+
+// Issues one statement through the dialect's statement cache.
+Result<sql::ResultSet> RunStatement(SqlDialect* dialect,
+                                    const TableStatement& stmt) {
+  dialect->RecordPattern(stmt.table, stmt.predicate_columns);
+  return dialect->QueryShaped(
+      stmt.ShapeKey(),
+      [&stmt] {
+        std::vector<Value> ignored;
+        return stmt.Sql(&ignored);
+      },
+      stmt.Params());
+}
+
+// Streaming counterpart of RunStatement, for the vertex streams.
+Result<std::unique_ptr<DialectRowStream>> OpenVertexStatement(
+    SqlDialect* dialect, const TableStatement& stmt) {
+  DB2G_FAILPOINT("provider.open_vertex_stream");
+  dialect->RecordPattern(stmt.table, stmt.predicate_columns);
+  return dialect->QueryShapedStreaming(
+      stmt.ShapeKey(),
+      [&stmt] {
+        std::vector<Value> ignored;
+        return stmt.Sql(&ignored);
+      },
+      stmt.Params());
+}
+
+VertexPtr BuildVertexFromFetched(const ResolvedVertexTable& t, int table_index,
+                                 const FetchLayout& layout, Row row) {
+  auto v = std::make_shared<Vertex>();
+  v->id = ComposeField(t.id, layout, row);
+  v->label = t.conf.label.fixed
+                 ? t.conf.label.value
+                 : row[layout.PosOf(*t.label_column)].ToString();
+  for (size_t i = 0; i < t.properties.size(); ++i) {
+    if (!layout.Has(t.property_columns[i])) continue;
+    const Value& value = row[layout.PosOf(t.property_columns[i])];
+    if (!value.is_null()) {
+      v->properties.emplace_back(t.properties[i], value);
+    }
+  }
+  v->source_table = t.conf.table_name;
+  auto prov = std::make_shared<RowProvenance>();
+  prov->table_index = table_index;
+  prov->row = std::move(row);
+  v->provenance = std::move(prov);
+  return v;
+}
+
+/// The edge id of a fetched edge row: src::label::dst for implicit ids,
+/// the composed id columns otherwise.
+Value ComposeEdgeId(const ResolvedEdgeTable& et, const FetchLayout& layout,
+                    const Row& erow) {
+  std::string label = et.conf.label.fixed
+                          ? et.conf.label.value
+                          : erow[layout.PosOf(*et.label_column)].ToString();
+  if (et.conf.implicit_edge_id) {
+    Value src = ComposeField(et.src_v, layout, erow);
+    Value dst = ComposeField(et.dst_v, layout, erow);
+    return Value(src.ToString() + kIdSeparator + label + kIdSeparator +
+                 dst.ToString());
+  }
+  return ComposeField(et.id, layout, erow);
+}
+
+EdgePtr BuildEdgeFromFetched(const ResolvedEdgeTable& t, int table_index,
+                             const FetchLayout& layout, Row row) {
+  auto e = std::make_shared<Edge>();
+  e->src_id = ComposeField(t.src_v, layout, row);
+  e->dst_id = ComposeField(t.dst_v, layout, row);
+  e->label = t.conf.label.fixed
+                 ? t.conf.label.value
+                 : row[layout.PosOf(*t.label_column)].ToString();
+  e->id = ComposeEdgeId(t, layout, row);
+  for (size_t i = 0; i < t.properties.size(); ++i) {
+    if (!layout.Has(t.property_columns[i])) continue;
+    const Value& value = row[layout.PosOf(t.property_columns[i])];
+    if (!value.is_null()) {
+      e->properties.emplace_back(t.properties[i], value);
+    }
+  }
+  e->source_table = t.conf.table_name;
+  auto prov = std::make_shared<RowProvenance>();
+  prov->table_index = table_index;
+  prov->row = std::move(row);
+  e->provenance = std::move(prov);
+  return e;
+}
+
+// The vertex of one row `stmt` fetched; nullptr when a client-filtered
+// fetch drops it.
+VertexPtr FetchedVertex(const overlay::Topology& topology,
+                        const TableStatement& stmt, const LookupSpec& spec,
+                        Row row) {
+  VertexPtr v = BuildVertexFromFetched(
+      topology.vertex_tables()[static_cast<size_t>(stmt.table_index)],
+      stmt.table_index, stmt.layout, std::move(row));
+  if (stmt.client_filter && !gremlin::MatchesSpec(*v, spec)) return nullptr;
+  return v;
+}
+
+EdgePtr FetchedEdge(const overlay::Topology& topology,
+                    const TableStatement& stmt, const LookupSpec& spec,
+                    Row row) {
+  EdgePtr e = BuildEdgeFromFetched(
+      topology.edge_tables()[static_cast<size_t>(stmt.table_index)],
+      stmt.table_index, stmt.layout, std::move(row));
+  if (stmt.client_filter && !MatchesEdgeSpec(*e, spec)) return nullptr;
+  return e;
+}
+
+}  // namespace
+
 // ----------------------------------------------------------------------
 
 Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
                                    overlay::Topology topology,
                                    RuntimeOptions options)
-    : dialect_(dialect), topology_(std::move(topology)), options_(options) {
+    : dialect_(dialect),
+      topology_(std::move(topology)),
+      options_(options),
+      vertex_full_rows_(FullRowLayouts(topology_.vertex_tables())),
+      edge_full_rows_(FullRowLayouts(topology_.edge_tables())) {
   if (options_.vertex_cache) cache_ = std::make_unique<VertexCache>();
 }
 
-void Db2GraphProvider::ExecuteJobs(size_t n,
-                                   const std::function<void(size_t)>& fn) {
+bool Db2GraphProvider::FanOut(size_t n) {
   // Fanning out while this thread already holds the database's shared
   // read lock (a graphQuery table function inside a SELECT) is unsafe:
   // pool workers would queue for fresh shared locks behind any waiting
   // writer, which in turn waits on this thread — a deadlock. Reentrant
   // calls run serially instead; the outer statement still parallelizes.
-  if (n > 1 && options_.parallel_fanout &&
-      !dialect_->db()->ReadLockHeldByThisThread()) {
-    stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
+  if (n < 2 || !options_.parallel_fanout ||
+      dialect_->db()->ReadLockHeldByThisThread()) {
+    return false;
+  }
+  stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
+  stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
+  return true;
+}
+
+void Db2GraphProvider::ExecuteJobs(size_t n,
+                                   const std::function<void(size_t)>& fn) {
+  if (FanOut(n)) {
     QueryTrace* trace = CurrentTrace();
     // Pool workers have no thread-local trace or governor context; install
     // this query's for the duration of each job so per-table SQL lands in
@@ -93,24 +327,124 @@ bool Db2GraphProvider::CacheFillEligible(const LookupSpec& spec) const {
   return spec.labels.empty() && spec.predicates.empty() && spec.limit < 0;
 }
 
-VertexPtr Db2GraphProvider::MaterializeVertex(int table_index,
-                                              const Row& row) const {
-  // Only used with full-row fetches (client-filter paths).
-  const ResolvedVertexTable& t = topology_.vertex_tables()[table_index];
-  auto v = std::make_shared<Vertex>();
-  v->id = t.id.Compose(row);
-  v->label = t.conf.label.fixed ? t.conf.label.value
-                                : row[*t.label_column].ToString();
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    const Value& value = row[t.property_columns[i]];
-    if (!value.is_null()) v->properties.emplace_back(t.properties[i], value);
+template <typename OnPruned, typename OnPlanned>
+Status Db2GraphProvider::PlanStatements(TableKind kind, const LookupSpec& spec,
+                                        const std::vector<int>* tables,
+                                        bool aggregate,
+                                        const OnPruned& on_pruned,
+                                        const OnPlanned& on_planned) const {
+  if (kind == TableKind::kVertex) {
+    return PlanTables(topology_.vertex_tables(), tables, spec, aggregate,
+                      options_, &PlanVertexTable, &VertexFetchColumns,
+                      vertex_full_rows_, on_pruned, on_planned);
   }
-  v->source_table = t.conf.table_name;
-  auto prov = std::make_shared<RowProvenance>();
-  prov->table_index = table_index;
-  prov->row = row;
-  v->provenance = std::move(prov);
-  return v;
+  return PlanTables(topology_.edge_tables(), tables, spec, aggregate,
+                    options_, &PlanEdgeTable, &EdgeFetchColumns,
+                    edge_full_rows_, on_pruned, on_planned);
+}
+
+Result<std::vector<TableStatement>> Db2GraphProvider::SurvivingTables(
+    TableKind kind, const LookupSpec& spec, const std::vector<int>* tables,
+    bool aggregate) {
+  metrics::Counter& pruned = kind == TableKind::kVertex
+                                 ? stats_.vertex_tables_pruned
+                                 : stats_.edge_tables_pruned;
+  metrics::Counter& queried = kind == TableKind::kVertex
+                                  ? stats_.vertex_tables_queried
+                                  : stats_.edge_tables_queried;
+  QueryTrace* trace = CurrentTrace();
+  std::vector<TableStatement> surviving;
+  DB2G_RETURN_NOT_OK(PlanStatements(
+      kind, spec, tables, aggregate,
+      [&](const std::string& table) {
+        pruned.fetch_add(1, std::memory_order_relaxed);
+        if (trace != nullptr) trace->AddTablePruned(table);
+      },
+      [&](TableStatement stmt) {
+        queried.fetch_add(1, std::memory_order_relaxed);
+        if (trace != nullptr) trace->AddTableConsulted(stmt.table);
+        surviving.push_back(std::move(stmt));
+      }));
+  return surviving;
+}
+
+template <typename Ptr, typename Build>
+Status Db2GraphProvider::FetchAll(const std::vector<TableStatement>& stmts,
+                                  [[maybe_unused]] const char* failpoint,
+                                  const Build& build, std::vector<Ptr>* out) {
+  // Per-statement result slots keep the merge deterministic in table
+  // order no matter which worker finishes first.
+  std::vector<std::vector<Ptr>> slots(stmts.size());
+  std::vector<Status> statuses(stmts.size(), Status::OK());
+  ExecuteJobs(stmts.size(), [&](size_t j) {
+    statuses[j] = [&]() -> Status {
+      // A cancelled / timed-out query skips the tables it has not fetched
+      // yet; with fan-out, workers past this check finish their one
+      // statement and the batch unwinds at the merge.
+      DB2G_RETURN_NOT_OK(governor::CheckCurrent());
+      DB2G_FAILPOINT(failpoint);
+      Result<sql::ResultSet> rs = RunStatement(dialect_, stmts[j]);
+      if (!rs.ok()) return rs.status();
+      for (Row& row : rs->rows) {
+        Ptr element = build(j, std::move(row));
+        if (element != nullptr) slots[j].push_back(std::move(element));
+      }
+      return Status::OK();
+    }();
+  });
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  for (auto& slot : slots) {
+    for (Ptr& element : slot) out->push_back(std::move(element));
+  }
+  return Status::OK();
+}
+
+Result<Value> Db2GraphProvider::Aggregate(TableKind kind,
+                                          const LookupSpec& spec) {
+  if (spec.agg == AggOp::kNone) {
+    return Status::Unsupported("no aggregate in spec");
+  }
+  Result<std::vector<TableStatement>> stmts =
+      SurvivingTables(kind, spec, nullptr, /*aggregate=*/true);
+  if (!stmts.ok()) return stmts.status();
+  struct Partial {
+    Status status = Status::OK();
+    std::optional<Row> row;
+  };
+  std::vector<Partial> partials(stmts->size());
+  ExecuteJobs(stmts->size(), [&](size_t j) {
+    Result<sql::ResultSet> rs = RunStatement(dialect_, (*stmts)[j]);
+    if (!rs.ok()) {
+      partials[j].status = rs.status();
+    } else if (!rs->rows.empty()) {
+      partials[j].row = std::move(rs->rows[0]);
+    }
+  });
+  gremlin::AggregateAccumulator acc(spec.agg);
+  for (const Partial& partial : partials) {
+    if (!partial.status.ok()) return partial.status;
+    if (partial.row) acc.AddPartial(*partial.row);
+  }
+  return acc.Result();
+}
+
+bool Db2GraphProvider::FromCache(const Value& id, uint64_t epoch,
+                                 const LookupSpec& check,
+                                 std::vector<VertexPtr>* out) {
+  std::vector<VertexPtr> cached;
+  if (!cache_->Get(id, epoch, &cached)) {
+    stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
+    return false;
+  }
+  stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (QueryTrace* trace = CurrentTrace()) trace->AddCacheHit();
+  for (VertexPtr& v : cached) {
+    if (gremlin::MatchesSpec(*v, check)) out->push_back(std::move(v));
+  }
+  return true;
 }
 
 // ----------------------------------------------------------------------
@@ -118,112 +452,6 @@ VertexPtr Db2GraphProvider::MaterializeVertex(int table_index,
 // ----------------------------------------------------------------------
 
 namespace {
-
-VertexPtr BuildVertexFromFetched(const ResolvedVertexTable& t, int table_index,
-                                 const FetchLayout& layout, Row row) {
-  auto v = std::make_shared<Vertex>();
-  v->id = ComposeField(t.id, layout, row);
-  v->label = t.conf.label.fixed
-                 ? t.conf.label.value
-                 : row[layout.PosOf(*t.label_column)].ToString();
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    if (!layout.Has(t.property_columns[i])) continue;
-    const Value& value = row[layout.PosOf(t.property_columns[i])];
-    if (!value.is_null()) {
-      v->properties.emplace_back(t.properties[i], value);
-    }
-  }
-  v->source_table = t.conf.table_name;
-  auto prov = std::make_shared<RowProvenance>();
-  prov->table_index = table_index;
-  prov->row = std::move(row);
-  v->provenance = std::move(prov);
-  return v;
-}
-
-// One per-table vertex fetch: the unit of work the fan-out parallelizes.
-// Everything it touches is either private to the call or internally
-// synchronized (dialect template cache, database shared lock, atomics).
-Status FetchVertexTable(SqlDialect* dialect, const ResolvedVertexTable& t,
-                        int table_index, const LookupSpec& spec,
-                        const VertexPlan& plan, std::vector<VertexPtr>* out) {
-  // A cancelled / timed-out query skips the tables it has not fetched
-  // yet; with fan-out, workers past this check finish their one statement
-  // and the batch unwinds at the merge.
-  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-  DB2G_FAILPOINT("provider.fetch_vertex_table");
-  const sql::TableSchema& schema = *t.schema;
-  // The naive path fetches full rows (needed for client-side filtering);
-  // the pushdown path fetches only the projected layout.
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = VertexFetchColumns(t, spec);
-  }
-  FetchLayout layout = MakeLayout(schema, std::move(cols));
-
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  // The per-table row budget holds only when SQL sees every filter; a
-  // client-filtered fetch must not be truncated before filtering.
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
-  Result<sql::ResultSet> rs = dialect->QueryShaped(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
-  if (!rs.ok()) return rs.status();
-
-  for (Row& row : rs->rows) {
-    VertexPtr v = BuildVertexFromFetched(t, table_index, layout,
-                                         std::move(row));
-    if (plan.client_filter && !gremlin::MatchesSpec(*v, spec)) continue;
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-// One surviving table of a streaming vertex lookup.
-struct VertexJob {
-  int table_index;
-  VertexPlan plan;
-};
-
-// Opens the per-table SQL stream FetchVertexTable would have executed
-// materialized. `layout` receives the fetched-column layout the caller
-// needs to build vertices from the stream's rows.
-Result<std::unique_ptr<DialectRowStream>> OpenVertexTableStream(
-    SqlDialect* dialect, const ResolvedVertexTable& t, const LookupSpec& spec,
-    const VertexPlan& plan, FetchLayout* layout) {
-  DB2G_FAILPOINT("provider.open_vertex_stream");
-  const sql::TableSchema& schema = *t.schema;
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = VertexFetchColumns(t, spec);
-  }
-  *layout = MakeLayout(schema, std::move(cols));
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, *layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
-  return dialect->QueryShapedStreaming(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
-}
 
 // Bounded handoff of vertex blocks from one per-table producer to the
 // consuming stream: producers block when their queue is full (backpressure
@@ -298,12 +526,13 @@ class Db2VertexStream : public gremlin::VertexStream {
   static constexpr size_t kQueueBlocks = 4;  // per-table backpressure bound
 
   Db2VertexStream(SqlDialect* dialect, const overlay::Topology* topology,
-                  LookupSpec spec, std::vector<VertexJob> jobs, bool parallel)
+                  LookupSpec spec, std::vector<TableStatement> jobs,
+                  bool parallel)
       : dialect_(dialect),
         topology_(topology),
         spec_(std::move(spec)),
         jobs_(std::move(jobs)) {
-    if (parallel && jobs_.size() > 1) StartParallel();
+    if (parallel) StartParallel();
   }
 
   ~Db2VertexStream() override { Close(); }
@@ -343,9 +572,7 @@ class Db2VertexStream : public gremlin::VertexStream {
       if (serial_stream_ == nullptr) {
         if (job_pos_ >= jobs_.size()) return false;
         Result<std::unique_ptr<DialectRowStream>> stream =
-            OpenVertexTableStream(
-                dialect_, topology_->vertex_tables()[jobs_[job_pos_].table_index],
-                spec_, jobs_[job_pos_].plan, &layout_);
+            OpenVertexStatement(dialect_, jobs_[job_pos_]);
         if (!stream.ok()) {
           status_ = stream.status();
           return false;
@@ -361,16 +588,10 @@ class Db2VertexStream : public gremlin::VertexStream {
         ++job_pos_;
         continue;
       }
-      const VertexJob& job = jobs_[job_pos_];
-      const ResolvedVertexTable& t =
-          topology_->vertex_tables()[job.table_index];
       for (Row& row : block_.rows) {
-        VertexPtr v = BuildVertexFromFetched(t, job.table_index, layout_,
-                                             std::move(row));
-        if (job.plan.client_filter && !gremlin::MatchesSpec(*v, spec_)) {
-          continue;
-        }
-        out->push_back(std::move(v));
+        VertexPtr v =
+            FetchedVertex(*topology_, jobs_[job_pos_], spec_, std::move(row));
+        if (v != nullptr) out->push_back(std::move(v));
       }
       if (!out->empty()) return true;  // all-filtered block: keep pulling
     }
@@ -410,11 +631,8 @@ class Db2VertexStream : public gremlin::VertexStream {
       queue.MarkDone(Status::OK());
       return;
     }
-    const VertexJob& job = jobs_[j];
-    const ResolvedVertexTable& t = topology_->vertex_tables()[job.table_index];
-    FetchLayout layout;
     Result<std::unique_ptr<DialectRowStream>> stream =
-        OpenVertexTableStream(dialect_, t, spec_, job.plan, &layout);
+        OpenVertexStatement(dialect_, jobs_[j]);
     if (!stream.ok()) {
       queue.MarkDone(stream.status());
       return;
@@ -440,12 +658,8 @@ class Db2VertexStream : public gremlin::VertexStream {
       std::vector<VertexPtr> vertices;
       vertices.reserve(block.rows.size());
       for (Row& row : block.rows) {
-        VertexPtr v = BuildVertexFromFetched(t, job.table_index, layout,
-                                             std::move(row));
-        if (job.plan.client_filter && !gremlin::MatchesSpec(*v, spec_)) {
-          continue;
-        }
-        vertices.push_back(std::move(v));
+        VertexPtr v = FetchedVertex(*topology_, jobs_[j], spec_, std::move(row));
+        if (v != nullptr) vertices.push_back(std::move(v));
       }
       if (vertices.empty()) continue;
       if (qctx != nullptr) {
@@ -498,14 +712,13 @@ class Db2VertexStream : public gremlin::VertexStream {
   SqlDialect* dialect_;
   const overlay::Topology* topology_;
   LookupSpec spec_;
-  std::vector<VertexJob> jobs_;
+  std::vector<TableStatement> jobs_;
   Status status_ = Status::OK();
   bool closed_ = false;
 
   // Serial state.
   size_t job_pos_ = 0;
   std::unique_ptr<DialectRowStream> serial_stream_;
-  FetchLayout layout_;
   sql::RowBlock block_;
 
   // Parallel state.
@@ -528,55 +741,19 @@ Status Db2GraphProvider::Vertices(const LookupSpec& spec,
     // Epoch read *before* the lookup: a write racing with the fetch makes
     // the entry stale-by-construction rather than stale-but-current.
     epoch = dialect_->db()->write_epoch();
-    std::vector<VertexPtr> cached;
-    if (cache_->Get(spec.ids[0], epoch, &cached)) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) trace->AddCacheHit();
-      for (VertexPtr& v : cached) {
-        if (gremlin::MatchesSpec(*v, spec)) out->push_back(std::move(v));
-      }
-      return Status::OK();
-    }
-    stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
+    if (FromCache(spec.ids[0], epoch, spec, out)) return Status::OK();
   }
 
-  struct Job {
-    int table_index;
-    VertexPlan plan;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan)});
-  }
-
-  // Per-job result slots keep the merge deterministic in table order no
-  // matter which worker finishes first.
-  std::vector<std::vector<VertexPtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchVertexTable(
-        dialect_, topology_.vertex_tables()[jobs[j].table_index],
-        jobs[j].table_index, spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-
+  Result<std::vector<TableStatement>> stmts =
+      SurvivingTables(TableKind::kVertex, spec);
+  if (!stmts.ok()) return stmts.status();
   std::vector<VertexPtr> fetched;
-  for (auto& slot : slots) {
-    for (VertexPtr& v : slot) fetched.push_back(std::move(v));
-  }
+  DB2G_RETURN_NOT_OK(FetchAll(
+      *stmts, "provider.fetch_vertex_table",
+      [&](size_t j, Row row) {
+        return FetchedVertex(topology_, (*stmts)[j], spec, std::move(row));
+      },
+      &fetched));
   if (cache_on && CacheFillEligible(spec)) {
     // Every surviving table was consulted and nothing was filtered, so
     // `fetched` is the complete vertex set for this id (possibly empty —
@@ -595,459 +772,46 @@ Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
   if (spec.agg != AggOp::kNone || CacheUsable(spec)) {
     return GraphProvider::VerticesStreaming(spec);
   }
+  Result<std::vector<TableStatement>> jobs =
+      SurvivingTables(TableKind::kVertex, spec);
+  if (!jobs.ok()) return jobs.status();
 
-  QueryTrace* trace = CurrentTrace();
-  std::vector<VertexJob> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(VertexJob{static_cast<int>(ti), std::move(plan)});
-  }
-
-  // Same fan-out eligibility rule as ExecuteJobs: never spawn workers
-  // when this thread already holds the database read lock.
-  bool parallel = jobs.size() > 1 && options_.parallel_fanout &&
-                  !dialect_->db()->ReadLockHeldByThisThread();
-  if (parallel) {
-    stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.parallel_tasks.fetch_add(jobs.size(), std::memory_order_relaxed);
-  }
+  const bool parallel = FanOut(jobs->size());
   return std::unique_ptr<gremlin::VertexStream>(new Db2VertexStream(
-      dialect_, &topology_, spec, std::move(jobs), parallel));
+      dialect_, &topology_, spec, std::move(*jobs), parallel));
 }
 
 Result<Value> Db2GraphProvider::AggregateVertices(const LookupSpec& spec) {
-  if (spec.agg == AggOp::kNone) {
-    return Status::Unsupported("no aggregate in spec");
-  }
-  struct Job {
-    int table_index;
-    VertexPlan plan;
-    std::string select;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.client_filter) {
-      return Status::Unsupported(
-          "aggregate requires client-side filtering; falling back");
-    }
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    // Locate the aggregated property column (count(*) needs none).
-    std::string agg_column;
-    if (spec.agg != AggOp::kCount || !spec.agg_key.empty()) {
-      bool found = false;
-      for (size_t i = 0; i < t.properties.size(); ++i) {
-        if (EqualsIgnoreCase(t.properties[i], spec.agg_key)) {
-          agg_column = t.schema->columns[t.property_columns[i]].name;
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;  // table contributes nothing
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    std::string select;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        select = agg_column.empty() ? "COUNT(*)"
-                                    : "COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        select = "SUM(\"" + agg_column + "\"), COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMin:
-        select = "MIN(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMax:
-        select = "MAX(\"" + agg_column + "\")";
-        break;
-      case AggOp::kNone:
-        return Status::Internal("unreachable");
-    }
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan),
-                       std::move(select)});
-  }
-
-  struct Partial {
-    Status status = Status::OK();
-    bool has_row = false;
-    Row row;
-  };
-  std::vector<Partial> partials(jobs.size());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    const ResolvedVertexTable& t =
-        topology_.vertex_tables()[jobs[j].table_index];
-    std::vector<Value> params;
-    CollectParams(jobs[j].plan.conds, &params);
-    dialect_->RecordPattern(t.conf.table_name, jobs[j].plan.predicate_columns);
-    Result<sql::ResultSet> rs = dialect_->QueryShaped(
-        ShapeKey(t.conf.table_name, jobs[j].select, jobs[j].plan.conds),
-        [&] {
-          std::vector<Value> ignored;
-          return BuildSql(t.conf.table_name, jobs[j].select,
-                          jobs[j].plan.conds, &ignored);
-        },
-        params);
-    if (!rs.ok()) {
-      partials[j].status = rs.status();
-      return;
-    }
-    if (!rs->rows.empty()) {
-      partials[j].has_row = true;
-      partials[j].row = std::move(rs->rows[0]);
-    }
-  });
-
-  int64_t total_count = 0;
-  double total_sum = 0;
-  bool sum_is_int = true;
-  int64_t total_isum = 0;
-  Value min_v;
-  Value max_v;
-  for (Partial& partial : partials) {
-    if (!partial.status.ok()) return partial.status;
-    if (!partial.has_row) continue;
-    const Row& row = partial.row;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        total_count += row[0].is_null() ? 0 : row[0].as_int();
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        if (!row[0].is_null()) {
-          total_sum += row[0].NumericValue();
-          if (row[0].is_int()) {
-            total_isum += row[0].as_int();
-          } else {
-            sum_is_int = false;
-          }
-          total_count += row[1].as_int();
-        }
-        break;
-      case AggOp::kMin:
-        if (!row[0].is_null() && (min_v.is_null() || row[0] < min_v)) {
-          min_v = row[0];
-        }
-        break;
-      case AggOp::kMax:
-        if (!row[0].is_null() && (max_v.is_null() || row[0] > max_v)) {
-          max_v = row[0];
-        }
-        break;
-      case AggOp::kNone:
-        break;
-    }
-  }
-  switch (spec.agg) {
-    case AggOp::kCount:
-      return Value(total_count);
-    case AggOp::kSum:
-      if (total_count == 0) return Value::Null();
-      return sum_is_int ? Value(total_isum) : Value(total_sum);
-    case AggOp::kMean:
-      if (total_count == 0) return Value::Null();
-      return Value(total_sum / static_cast<double>(total_count));
-    case AggOp::kMin:
-      return min_v;
-    case AggOp::kMax:
-      return max_v;
-    case AggOp::kNone:
-      break;
-  }
-  return Status::Internal("unreachable");
+  return Aggregate(TableKind::kVertex, spec);
 }
 
 // ----------------------------------------------------------------------
 // Edges
 // ----------------------------------------------------------------------
 
-namespace {
-
-// One per-table edge fetch: the parallel fan-out unit for Edges /
-// AdjacentEdges. Same thread-safety contract as FetchVertexTable.
-Status FetchEdgeTable(SqlDialect* dialect, const ResolvedEdgeTable& t,
-                      int table_index, const LookupSpec& spec,
-                      const EdgePlan& plan, std::vector<EdgePtr>* out) {
-  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-  DB2G_FAILPOINT("provider.fetch_edge_table");
-  const sql::TableSchema& schema = *t.schema;
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = EdgeFetchColumns(t, spec);
-  }
-  FetchLayout layout = MakeLayout(schema, std::move(cols));
-
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
-  Result<sql::ResultSet> rs = dialect->QueryShaped(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
-  if (!rs.ok()) return rs.status();
-
-  for (Row& row : rs->rows) {
-    auto e = std::make_shared<Edge>();
-    e->src_id = ComposeField(t.src_v, layout, row);
-    e->dst_id = ComposeField(t.dst_v, layout, row);
-    e->label = t.conf.label.fixed
-                   ? t.conf.label.value
-                   : row[layout.PosOf(*t.label_column)].ToString();
-    if (t.conf.implicit_edge_id) {
-      e->id = Value(e->src_id.ToString() + kIdSeparator + e->label +
-                    kIdSeparator + e->dst_id.ToString());
-    } else {
-      e->id = ComposeField(t.id, layout, row);
-    }
-    for (size_t i = 0; i < t.properties.size(); ++i) {
-      if (!layout.Has(t.property_columns[i])) continue;
-      const Value& value = row[layout.PosOf(t.property_columns[i])];
-      if (!value.is_null()) {
-        e->properties.emplace_back(t.properties[i], value);
-      }
-    }
-    e->source_table = t.conf.table_name;
-    auto prov = std::make_shared<RowProvenance>();
-    prov->table_index = table_index;
-    prov->row = std::move(row);
-    e->provenance = std::move(prov);
-    if (plan.client_filter && !MatchesEdgeSpec(*e, spec)) continue;
-    out->push_back(std::move(e));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status Db2GraphProvider::Edges(const LookupSpec& spec,
                                std::vector<EdgePtr>* out) {
-  return EdgesOnTables(spec, {}, out);
+  return EdgesOnTables(spec, nullptr, out);
 }
 
 Status Db2GraphProvider::EdgesOnTables(const LookupSpec& spec,
-                                       const std::vector<int>& tables,
+                                       const std::vector<int>* tables,
                                        std::vector<EdgePtr>* out) {
-  struct Job {
-    int table_index;
-    EdgePlan plan;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    if (!tables.empty() &&
-        std::find(tables.begin(), tables.end(), static_cast<int>(ti)) ==
-            tables.end()) {
-      continue;
-    }
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan)});
-  }
-
+  Result<std::vector<TableStatement>> stmts =
+      SurvivingTables(TableKind::kEdge, spec, tables);
+  if (!stmts.ok()) return stmts.status();
   // Edge order matters downstream (per-source emission order in the
-  // interpreter), so per-job slots are merged in table order.
-  std::vector<std::vector<EdgePtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchEdgeTable(
-        dialect_, topology_.edge_tables()[jobs[j].table_index],
-        jobs[j].table_index, spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (auto& slot : slots) {
-    for (EdgePtr& e : slot) out->push_back(std::move(e));
-  }
-  return Status::OK();
+  // interpreter), so FetchAll merges in table order.
+  return FetchAll(
+      *stmts, "provider.fetch_edge_table",
+      [&](size_t j, Row row) {
+        return FetchedEdge(topology_, (*stmts)[j], spec, std::move(row));
+      },
+      out);
 }
 
 Result<Value> Db2GraphProvider::AggregateEdges(const LookupSpec& spec) {
-  return AggregateEdgesOnTables(spec, {});
-}
-
-Result<Value> Db2GraphProvider::AggregateEdgesOnTables(
-    const LookupSpec& spec, const std::vector<int>& tables) {
-  if (spec.agg == AggOp::kNone) {
-    return Status::Unsupported("no aggregate in spec");
-  }
-  struct Job {
-    int table_index;
-    EdgePlan plan;
-    std::string select;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    if (!tables.empty() &&
-        std::find(tables.begin(), tables.end(), static_cast<int>(ti)) ==
-            tables.end()) {
-      continue;
-    }
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    if (plan.client_filter) {
-      return Status::Unsupported("aggregate needs client-side filtering");
-    }
-    if (plan.skip) {
-      stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    std::string agg_column;
-    if (spec.agg != AggOp::kCount || !spec.agg_key.empty()) {
-      bool found = false;
-      for (size_t i = 0; i < t.properties.size(); ++i) {
-        if (EqualsIgnoreCase(t.properties[i], spec.agg_key)) {
-          agg_column = t.schema->columns[t.property_columns[i]].name;
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;
-    }
-    stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    std::string select;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        select = agg_column.empty() ? "COUNT(*)"
-                                    : "COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        select = "SUM(\"" + agg_column + "\"), COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMin:
-        select = "MIN(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMax:
-        select = "MAX(\"" + agg_column + "\")";
-        break;
-      case AggOp::kNone:
-        return Status::Internal("unreachable");
-    }
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan),
-                       std::move(select)});
-  }
-
-  struct Partial {
-    Status status = Status::OK();
-    bool has_row = false;
-    Row row;
-  };
-  std::vector<Partial> partials(jobs.size());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    const ResolvedEdgeTable& t = topology_.edge_tables()[jobs[j].table_index];
-    std::vector<Value> params;
-    CollectParams(jobs[j].plan.conds, &params);
-    dialect_->RecordPattern(t.conf.table_name, jobs[j].plan.predicate_columns);
-    Result<sql::ResultSet> rs = dialect_->QueryShaped(
-        ShapeKey(t.conf.table_name, jobs[j].select, jobs[j].plan.conds),
-        [&] {
-          std::vector<Value> ignored;
-          return BuildSql(t.conf.table_name, jobs[j].select,
-                          jobs[j].plan.conds, &ignored);
-        },
-        params);
-    if (!rs.ok()) {
-      partials[j].status = rs.status();
-      return;
-    }
-    if (!rs->rows.empty()) {
-      partials[j].has_row = true;
-      partials[j].row = std::move(rs->rows[0]);
-    }
-  });
-
-  int64_t total_count = 0;
-  double total_sum = 0;
-  bool sum_is_int = true;
-  int64_t total_isum = 0;
-  Value min_v;
-  Value max_v;
-  for (Partial& partial : partials) {
-    if (!partial.status.ok()) return partial.status;
-    if (!partial.has_row) continue;
-    const Row& row = partial.row;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        total_count += row[0].is_null() ? 0 : row[0].as_int();
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        if (!row[0].is_null()) {
-          total_sum += row[0].NumericValue();
-          if (row[0].is_int()) {
-            total_isum += row[0].as_int();
-          } else {
-            sum_is_int = false;
-          }
-          total_count += row[1].as_int();
-        }
-        break;
-      case AggOp::kMin:
-        if (!row[0].is_null() && (min_v.is_null() || row[0] < min_v)) {
-          min_v = row[0];
-        }
-        break;
-      case AggOp::kMax:
-        if (!row[0].is_null() && (max_v.is_null() || row[0] > max_v)) {
-          max_v = row[0];
-        }
-        break;
-      case AggOp::kNone:
-        break;
-    }
-  }
-  switch (spec.agg) {
-    case AggOp::kCount:
-      return Value(total_count);
-    case AggOp::kSum:
-      if (total_count == 0) return Value::Null();
-      return sum_is_int ? Value(total_isum) : Value(total_sum);
-    case AggOp::kMean:
-      if (total_count == 0) return Value::Null();
-      return Value(total_sum / static_cast<double>(total_count));
-    case AggOp::kMin:
-      return min_v;
-    case AggOp::kMax:
-      return max_v;
-    case AggOp::kNone:
-      break;
-  }
-  return Status::Internal("unreachable");
+  return Aggregate(TableKind::kEdge, spec);
 }
 
 // ----------------------------------------------------------------------
@@ -1098,18 +862,18 @@ Status Db2GraphProvider::AdjacentEdges(const std::vector<VertexPtr>& from,
   LookupSpec edge_spec = spec;
   if (dir == Direction::kOut) {
     edge_spec.src_ids = ids;
-    return EdgesOnTables(edge_spec, candidates, out);
+    return EdgesOnTables(edge_spec, &candidates, out);
   }
   if (dir == Direction::kIn) {
     edge_spec.dst_ids = ids;
-    return EdgesOnTables(edge_spec, candidates, out);
+    return EdgesOnTables(edge_spec, &candidates, out);
   }
   edge_spec.src_ids = ids;
-  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, candidates, out));
+  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, &candidates, out));
   edge_spec.src_ids.clear();
   edge_spec.dst_ids = ids;
   std::vector<EdgePtr> in_edges;
-  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, candidates, &in_edges));
+  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, &candidates, &in_edges));
   for (EdgePtr& e : in_edges) {
     if (!(e->src_id == e->dst_id)) out->push_back(std::move(e));
   }
@@ -1132,14 +896,16 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
   LookupSpec cached_check = spec;
   cached_check.ids.clear();
 
-  // Partition endpoint ids by the vertex table they are pinned to.
-  std::unordered_map<int, std::vector<Value>> pinned;  // vertex table -> ids
+  // Partition endpoint ids by the vertex table they are pinned to, in
+  // table-index order so the merge (and any trace) is deterministic
+  // under fan-out.
+  std::map<int, std::vector<Value>> pinned;  // vertex table -> ids
   std::vector<Value> unpinned;
   std::unordered_set<Value, ValueHash> seen;
 
-  auto classify = [&](const EdgePtr& e, bool source_side) -> bool {
+  auto classify = [&](const EdgePtr& e, bool source_side) {
     const Value& id = source_side ? e->src_id : e->dst_id;
-    if (!seen.insert(id).second) return true;  // already handled
+    if (!seen.insert(id).second) return;  // already handled
     const auto* prov = static_cast<const RowProvenance*>(e->provenance.get());
     int vertex_table = -1;
     if (prov != nullptr && options_.endpoint_table_pruning) {
@@ -1154,7 +920,8 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
             topology_.vertex_tables()[vertex_table];
         if (EqualsIgnoreCase(vt.conf.table_name, t.conf.table_name) &&
             prov->row.size() == vt.schema->columns.size()) {
-          VertexPtr v = MaterializeVertex(vertex_table, prov->row);
+          VertexPtr v = BuildVertexFromFetched(
+              vt, vertex_table, vertex_full_rows_[vertex_table], prov->row);
           if (gremlin::MatchesSpec(*v, spec)) {
             out->push_back(std::move(v));
           }
@@ -1162,31 +929,16 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
           if (QueryTrace* trace = CurrentTrace()) {
             trace->AddShortcutVertices(1);
           }
-          return true;
+          return;
         }
       }
     }
-    if (cache_on) {
-      std::vector<VertexPtr> cached;
-      if (cache_->Get(id, epoch, &cached)) {
-        stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        if (QueryTrace* trace = CurrentTrace()) trace->AddCacheHit();
-        for (VertexPtr& v : cached) {
-          if (gremlin::MatchesSpec(*v, cached_check)) {
-            out->push_back(std::move(v));
-          }
-        }
-        return true;
-      }
-      stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
-    }
+    if (cache_on && FromCache(id, epoch, cached_check, out)) return;
     if (vertex_table >= 0) {
       pinned[vertex_table].push_back(id);
     } else {
       unpinned.push_back(id);
     }
-    return true;
   };
 
   for (const EdgePtr& e : edges) {
@@ -1198,51 +950,30 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
     }
   }
 
-  // One job per pinned vertex table, in table-index order so the merge
-  // (and any trace) is deterministic under fan-out.
-  struct Job {
-    int vertex_table;
-    LookupSpec vertex_spec;
-    VertexPlan plan;
-  };
-  std::vector<std::pair<int, std::vector<Value>>> groups(pinned.begin(),
-                                                         pinned.end());
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Job> jobs;
-  for (auto& [vertex_table, ids] : groups) {
-    LookupSpec vertex_spec = spec;
-    vertex_spec.ids = std::move(ids);
-    // Query exactly the pinned table.
-    const ResolvedVertexTable& t = topology_.vertex_tables()[vertex_table];
-    VertexPlan plan = PlanVertexTable(t, vertex_spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) {
-        trace->AddTablePruned(t.conf.table_name);
-      }
-      continue;
+  // One statement per pinned vertex table.
+  std::vector<LookupSpec> group_specs;
+  group_specs.reserve(pinned.size());
+  std::vector<TableStatement> stmts;
+  std::vector<const LookupSpec*> stmt_specs;
+  for (auto& [vertex_table, ids] : pinned) {
+    group_specs.push_back(spec);
+    group_specs.back().ids = std::move(ids);
+    const std::vector<int> only{vertex_table};
+    Result<std::vector<TableStatement>> planned =
+        SurvivingTables(TableKind::kVertex, group_specs.back(), &only);
+    if (!planned.ok()) return planned.status();
+    for (TableStatement& stmt : *planned) {
+      stmts.push_back(std::move(stmt));
+      stmt_specs.push_back(&group_specs.back());
     }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (QueryTrace* trace = CurrentTrace()) {
-      trace->AddTableConsulted(t.conf.table_name);
-    }
-    jobs.push_back(Job{vertex_table, std::move(vertex_spec), std::move(plan)});
   }
-
-  std::vector<std::vector<VertexPtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchVertexTable(
-        dialect_, topology_.vertex_tables()[jobs[j].vertex_table],
-        jobs[j].vertex_table, jobs[j].vertex_spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (auto& slot : slots) {
-    for (VertexPtr& v : slot) out->push_back(std::move(v));
-  }
+  DB2G_RETURN_NOT_OK(FetchAll(
+      stmts, "provider.fetch_vertex_table",
+      [&](size_t j, Row row) {
+        return FetchedVertex(topology_, stmts[j], *stmt_specs[j],
+                             std::move(row));
+      },
+      out));
 
   if (!unpinned.empty()) {
     LookupSpec vertex_spec = spec;
@@ -1297,7 +1028,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
                           const RuntimeOptions& options,
                           const gremlin::MultiHopSpec& spec,
                           const MultiHopProviderPlan& plan, size_t chain,
-                          const EdgePlan& first_plan, JoinChainPlan* out) {
+                          const TablePlan& first_plan, JoinChainPlan* out) {
   const size_t hops = spec.hops.size();
   if (hops == 0 || plan.later_hops.size() + 1 != hops ||
       chain >= plan.first_hop.size()) {
@@ -1333,7 +1064,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
     const std::string valias = "v" + std::to_string(h + 1);
 
     // Edge stage.
-    EdgePlan ep = h == 0 ? first_plan
+    TablePlan ep = h == 0 ? first_plan
                          : PlanEdgeTable(et, hop.edge_spec, options);
     if (ep.skip || ep.client_filter) {
       return Status::Unsupported("multi-hop edge plan not pushable");
@@ -1382,7 +1113,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
     out->patterns.push_back(ep.predicate_columns);
 
     // Vertex stage.
-    VertexPlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
+    TablePlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
     if (vp.skip || vp.client_filter) {
       return Status::Unsupported("multi-hop vertex plan not pushable");
     }
@@ -1442,20 +1173,6 @@ Row StageRow(const Row& row, const ChainStageMeta& meta) {
                                                       .size()));
 }
 
-/// The edge id FetchEdgeTable would assign for this edge row.
-Value ComposeEdgeId(const ResolvedEdgeTable& et, const FetchLayout& layout,
-                    const Row& erow) {
-  std::string label = et.conf.label.fixed
-                          ? et.conf.label.value
-                          : erow[layout.PosOf(*et.label_column)].ToString();
-  if (et.conf.implicit_edge_id) {
-    Value src = ComposeField(et.src_v, layout, erow);
-    Value dst = ComposeField(et.dst_v, layout, erow);
-    return Value(src.ToString() + kIdSeparator + label + kIdSeparator +
-                 dst.ToString());
-  }
-  return ComposeField(et.id, layout, erow);
-}
 
 }  // namespace
 
@@ -1514,7 +1231,7 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
         continue;  // no source can live in this chain's near table
       }
     }
-    EdgePlan ep = PlanEdgeTable(et, espec, options_);
+    TablePlan ep = PlanEdgeTable(et, espec, options_);
     if (ep.client_filter) return decline("multi-hop edge plan not pushable");
     if (ep.skip) {
       stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
@@ -1602,75 +1319,142 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
 // Compile-time plan previews (Explain)
 // ----------------------------------------------------------------------
 
+Db2GraphProvider::SqlPreview Db2GraphProvider::Preview(
+    const std::string& table, const TableStatement* stmt,
+    size_t unbound_begin, size_t unbound_end) const {
+  SqlPreview preview;
+  preview.table = table;
+  const sql::Table* base = dialect_->db()->GetTable(table);
+  preview.estimated_rows = base != nullptr ? base->row_count() : 0;
+  if (stmt == nullptr) {
+    preview.pruned = true;
+    preview.access_path = "pruned";
+    return preview;
+  }
+  std::vector<Value> params;
+  std::string sql = stmt->Sql(&params);
+  preview.sql =
+      SqlDialect::RenderSql(sql, params, unbound_begin, unbound_end);
+  preview.access_path = PredictAccessPath(dialect_->db(), table, stmt->conds);
+  return preview;
+}
+
+Status Db2GraphProvider::ExplainTables(TableKind kind, const LookupSpec& spec,
+                                       std::vector<SqlPreview>* out) const {
+  std::vector<SqlPreview> previews;
+  auto plan = [&](bool aggregate) {
+    previews.clear();
+    return PlanStatements(
+        kind, spec, nullptr, aggregate,
+        [&](const std::string& table) {
+          previews.push_back(Preview(table, nullptr));
+        },
+        [&](TableStatement stmt) {
+          previews.push_back(Preview(stmt.table, &stmt));
+        });
+  };
+  // An aggregate that needs client-side filtering runs as a fetch, which
+  // the interpreter then aggregates — preview that fetch.
+  if (spec.agg == AggOp::kNone || !plan(/*aggregate=*/true).ok()) {
+    DB2G_RETURN_NOT_OK(plan(/*aggregate=*/false));
+  }
+  for (SqlPreview& p : previews) out->push_back(std::move(p));
+  return Status::OK();
+}
+
 Status Db2GraphProvider::ExplainVertices(const LookupSpec& spec,
                                          std::vector<SqlPreview>* out) const {
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    SqlPreview preview;
-    preview.table = t.conf.table_name;
-    const sql::Table* base = dialect_->db()->GetTable(t.conf.table_name);
-    preview.estimated_rows = base != nullptr ? base->row_count() : 0;
-    if (plan.skip) {
-      preview.pruned = true;
-      preview.access_path = "pruned";
-      out->push_back(std::move(preview));
-      continue;
-    }
-    const sql::TableSchema& schema = *t.schema;
-    std::vector<size_t> cols;
-    if (plan.client_filter) {
-      for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-    } else {
-      cols = VertexFetchColumns(t, spec);
-    }
-    FetchLayout layout = MakeLayout(schema, std::move(cols));
-    std::vector<Value> params;
-    QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-    std::string sql = BuildSql(t.conf.table_name,
-                               SelectListFor(schema, layout), conds, &params,
-                               plan.client_filter ? -1 : spec.limit);
-    preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path =
-        PredictAccessPath(dialect_->db(), t.conf.table_name, conds);
-    out->push_back(std::move(preview));
-  }
-  return Status::OK();
+  return ExplainTables(TableKind::kVertex, spec, out);
 }
 
 Status Db2GraphProvider::ExplainEdges(const LookupSpec& spec,
                                       std::vector<SqlPreview>* out) const {
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    SqlPreview preview;
-    preview.table = t.conf.table_name;
-    const sql::Table* base = dialect_->db()->GetTable(t.conf.table_name);
-    preview.estimated_rows = base != nullptr ? base->row_count() : 0;
-    if (plan.skip) {
-      preview.pruned = true;
-      preview.access_path = "pruned";
-      out->push_back(std::move(preview));
-      continue;
+  return ExplainTables(TableKind::kEdge, spec, out);
+}
+
+Status Db2GraphProvider::ExplainEdgeEndpoints(
+    const LookupSpec& edge_spec, Direction endpoint,
+    const LookupSpec& spec, std::vector<SqlPreview>* out) const {
+  // Mirrors EdgeEndpoints per edge table instead of per edge: each
+  // surviving edge table pins the endpoint to its declared vertex table,
+  // unless the vertex is built from the edge row itself.
+  std::set<int> pinned;
+  bool unpinned = false;
+  auto classify = [&](const TableStatement& e) {
+    const ResolvedEdgeTable& et =
+        topology_.edge_tables()[static_cast<size_t>(e.table_index)];
+    for (bool source_side : {true, false}) {
+      if (endpoint == (source_side ? Direction::kIn : Direction::kOut)) {
+        continue;
+      }
+      int vt = -1;
+      if (options_.endpoint_table_pruning) {
+        vt = source_side ? et.src_vertex_table : et.dst_vertex_table;
+      }
+      if (vt < 0) {
+        unpinned = true;
+      } else if (!options_.vertex_from_edge_shortcut ||
+                 !EqualsIgnoreCase(et.conf.table_name,
+                                   topology_.vertex_tables()[vt]
+                                       .conf.table_name) ||
+                 e.layout.schema_cols.size() !=
+                     topology_.vertex_tables()[vt].schema->columns.size()) {
+        pinned.insert(vt);
+      }
     }
-    const sql::TableSchema& schema = *t.schema;
-    std::vector<size_t> cols;
-    if (plan.client_filter) {
-      for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-    } else {
-      cols = EdgeFetchColumns(t, spec);
-    }
-    FetchLayout layout = MakeLayout(schema, std::move(cols));
-    std::vector<Value> params;
-    QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-    std::string sql = BuildSql(t.conf.table_name,
-                               SelectListFor(schema, layout), conds, &params,
-                               plan.client_filter ? -1 : spec.limit);
-    preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path =
-        PredictAccessPath(dialect_->db(), t.conf.table_name, conds);
-    out->push_back(std::move(preview));
+  };
+  DB2G_RETURN_NOT_OK(PlanStatements(
+      TableKind::kEdge, edge_spec, nullptr, /*aggregate=*/false,
+      [](const std::string&) {}, classify));
+
+  // Pinned lookups replace the spec's ids with the endpoint ids, which
+  // bind at execution: one '?' per id column.
+  LookupSpec vertex_spec = spec;
+  vertex_spec.ids.clear();
+  for (int vt : pinned) {
+    const ResolvedVertexTable& t = topology_.vertex_tables()[vt];
+    auto preview_pinned = [&](TableStatement stmt) {
+      if (stmt.client_filter) {
+        out->push_back(Preview(stmt.table, &stmt));
+        return;
+      }
+      std::vector<SqlCond> id_conds;
+      for (size_t c : t.id.column_indexes) {
+        SqlCond cond;
+        cond.column = t.schema->columns[c].name;
+        cond.op = t.id.column_indexes.size() == 1 ? "IN" : "=";
+        cond.params.emplace_back();
+        id_conds.push_back(std::move(cond));
+      }
+      size_t unbound_begin = 0;
+      if (id_conds.size() == 1) {
+        // BuildIdConds' IN conjunct, placed where PlanVertexTable puts it.
+        size_t pos = JoinCondPosition(stmt.conds, *t.schema, t.label_column);
+        QueryConds before;
+        before.conjuncts.assign(stmt.conds.conjuncts.begin(),
+                                stmt.conds.conjuncts.begin() + pos);
+        std::vector<Value> before_params;
+        CollectParams(before, &before_params);
+        unbound_begin = before_params.size();
+        stmt.conds.conjuncts.insert(stmt.conds.conjuncts.begin() + pos,
+                                    std::move(id_conds[0]));
+      } else {
+        // A composite id is an OR-group, rendered after every conjunct.
+        unbound_begin = stmt.Params().size();
+        stmt.conds.or_groups.push_back({std::move(id_conds)});
+      }
+      out->push_back(Preview(stmt.table, &stmt, unbound_begin,
+                             unbound_begin + t.id.column_indexes.size()));
+    };
+    const std::vector<int> only{vt};
+    DB2G_RETURN_NOT_OK(PlanStatements(
+        TableKind::kVertex, vertex_spec, &only, /*aggregate=*/false,
+        [&](const std::string& table) {
+          out->push_back(Preview(table, nullptr));
+        },
+        preview_pinned));
   }
+  if (unpinned) return ExplainVertices(vertex_spec, out);
   return Status::OK();
 }
 
@@ -1690,7 +1474,7 @@ Status Db2GraphProvider::ExplainMultiHop(const gremlin::MultiHopSpec& spec,
     const ResolvedEdgeTable& et =
         topology_.edge_tables()[static_cast<size_t>(ht.edge_table)];
     SqlPreview preview;
-    EdgePlan ep = PlanEdgeTable(et, first.edge_spec, options_);
+    TablePlan ep = PlanEdgeTable(et, first.edge_spec, options_);
     JoinChainPlan cp;
     if (ep.skip || ep.client_filter ||
         !BuildJoinChainPlan(topology_, options_, spec, *plan, ci, ep, &cp)

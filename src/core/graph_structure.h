@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/graph_planning.h"
 #include "core/sql_dialect.h"
 #include "core/vertex_cache.h"
 #include "gremlin/graph_api.h"
@@ -185,12 +186,21 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   };
 
   /// Plan previews for a vertex/edge lookup, without touching any data.
-  /// Previews run the same per-table planner as execution, so they show
-  /// exactly which tables pruning would skip.
+  /// Previews come from the same per-table statements execution issues,
+  /// so they show exactly which tables pruning would skip and the SQL
+  /// (fetch or aggregate) each surviving table runs.
   Status ExplainVertices(const gremlin::LookupSpec& spec,
                          std::vector<SqlPreview>* out) const;
   Status ExplainEdges(const gremlin::LookupSpec& spec,
                       std::vector<SqlPreview>* out) const;
+  /// Preview of EdgeEndpoints over the edges `edge_spec` fetches: the
+  /// lookup on each vertex table an edge table pins the endpoint to, with
+  /// the endpoint ids (known only at execution) shown as '?', then an
+  /// unpinned lookup when some endpoint cannot be pinned.
+  Status ExplainEdgeEndpoints(const gremlin::LookupSpec& edge_spec,
+                              gremlin::Direction endpoint,
+                              const gremlin::LookupSpec& spec,
+                              std::vector<SqlPreview>* out) const;
   /// Preview of a collapsed multi-hop chain: one entry per table chain
   /// with the rendered N-way join SQL (without the runtime source-id
   /// conditions) and the optimizer's output-cardinality estimate.
@@ -198,21 +208,63 @@ class Db2GraphProvider : public gremlin::GraphProvider {
                          std::vector<SqlPreview>* out) const;
 
  private:
+  enum class TableKind { kVertex, kEdge };
+
+  /// The per-table planner: plans `spec` over the vertex or edge tables
+  /// in `tables` (every table when null), in table order, and builds each
+  /// surviving table's statement — the aggregate's when `aggregate`, else
+  /// the fetch — for on_planned(TableStatement); pruned tables go to
+  /// on_pruned(table name). Pure. An aggregate that needs client-side
+  /// filtering is Unsupported.
+  template <typename OnPruned, typename OnPlanned>
+  Status PlanStatements(TableKind kind, const gremlin::LookupSpec& spec,
+                        const std::vector<int>* tables, bool aggregate,
+                        const OnPruned& on_pruned,
+                        const OnPlanned& on_planned) const;
+  /// PlanStatements for execution: counts and traces every table as
+  /// pruned or consulted, and returns the surviving statements. An
+  /// aggregate that needs client-side filtering is Unsupported (the
+  /// caller falls back to fetching).
+  Result<std::vector<TableStatement>> SurvivingTables(
+      TableKind kind, const gremlin::LookupSpec& spec,
+      const std::vector<int>* tables = nullptr, bool aggregate = false);
+
+  /// Issues `stmts` (fanned out when eligible) and appends, in statement
+  /// order, the elements `build(j, row)` makes of statement j's rows;
+  /// null elements are dropped.
+  template <typename Ptr, typename Build>
+  Status FetchAll(const std::vector<TableStatement>& stmts,
+                  const char* failpoint, const Build& build,
+                  std::vector<Ptr>* out);
+
   /// Edges() restricted to a subset of edge-table indexes (used by
-  /// AdjacentEdges after endpoint pruning); empty = all.
+  /// AdjacentEdges after endpoint pruning); null = all.
   Status EdgesOnTables(const gremlin::LookupSpec& spec,
-                       const std::vector<int>& tables,
+                       const std::vector<int>* tables,
                        std::vector<gremlin::EdgePtr>* out);
-  Result<Value> AggregateEdgesOnTables(const gremlin::LookupSpec& spec,
-                                       const std::vector<int>& tables);
+  /// One aggregate statement per surviving table, partials merged.
+  Result<Value> Aggregate(TableKind kind, const gremlin::LookupSpec& spec);
 
-  gremlin::VertexPtr MaterializeVertex(int table_index, const Row& row) const;
+  Status ExplainTables(TableKind kind, const gremlin::LookupSpec& spec,
+                       std::vector<SqlPreview>* out) const;
+  /// Preview of `table`'s statement; a null `stmt` previews a pruned
+  /// table. See SqlDialect::RenderSql for the unbound parameters.
+  SqlPreview Preview(const std::string& table, const TableStatement* stmt,
+                     size_t unbound_begin = 0, size_t unbound_end = 0) const;
 
-  /// Runs fn(0..n-1): on the shared thread pool when fan-out applies
-  /// (enabled, n > 1, caller not inside a database read lock), serially
-  /// otherwise. Counts dispatched batches/tasks.
+  /// Whether `n` per-table jobs fan out (enabled, n > 1, caller not
+  /// inside a database read lock); counts the batch and its tasks if so.
+  bool FanOut(size_t n);
+  /// Runs fn(0..n-1): on the shared thread pool when FanOut(n), serially
+  /// otherwise.
   void ExecuteJobs(size_t n, const std::function<void(size_t)>& fn);
 
+  /// Answers `id` from the vertex cache, appending the cached vertices
+  /// `check` matches; false (and nothing appended) on a miss. Counts and
+  /// traces the hit or miss.
+  bool FromCache(const Value& id, uint64_t epoch,
+                 const gremlin::LookupSpec& check,
+                 std::vector<gremlin::VertexPtr>* out);
   /// Cache is consulted only for pure single-id point lookups that fetch
   /// full rows (no projection, no aggregate) outside access control.
   bool CacheUsable(const gremlin::LookupSpec& spec) const;
@@ -224,6 +276,10 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   SqlDialect* dialect_;
   overlay::Topology topology_;
   RuntimeOptions options_;
+  /// Full-row fetch layouts per table (client-filtered fetches, and the
+  /// vertex-from-edge-row shortcut).
+  std::vector<FetchLayout> vertex_full_rows_;
+  std::vector<FetchLayout> edge_full_rows_;
   Stats stats_;
   std::unique_ptr<VertexCache> cache_;
 };

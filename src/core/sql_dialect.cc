@@ -33,15 +33,41 @@ std::string TableFromSql(const std::string& sql) {
   }
 }
 
+// One trace record: the statement's table and rendered text, plus its
+// execution counters when it ran (an error description when it failed).
+SqlTraceRecord MakeTraceRecord(const std::string& sql,
+                               const std::vector<Value>& params,
+                               const Status& status,
+                               const sql::ExecInfo& exec,
+                               uint64_t rows_returned, uint64_t micros) {
+  SqlTraceRecord record;
+  record.table = TableFromSql(sql);
+  record.sql = SqlDialect::RenderSql(sql, params);
+  record.micros = micros;
+  if (status.ok()) {
+    record.access_path = exec.AccessPath();
+    record.exec_mode = exec.ExecMode();
+    record.rows_scanned = exec.rows_scanned;
+    record.rows_returned = rows_returned;
+    record.rows_emitted = exec.rows_emitted;
+  } else {
+    record.access_path = "error: " + status.ToString();
+  }
+  return record;
+}
+
 }  // namespace
 
 std::string SqlDialect::RenderSql(const std::string& sql,
-                                  const std::vector<Value>& params) {
+                                  const std::vector<Value>& params,
+                                  size_t unbound_begin, size_t unbound_end) {
   std::string out;
   size_t next = 0;
   for (char c : sql) {
     if (c == '?' && next < params.size()) {
-      out += params[next++].ToSqlLiteral();
+      const bool bound = next < unbound_begin || next >= unbound_end;
+      out += bound ? params[next].ToSqlLiteral() : "?";
+      ++next;
     } else {
       out += c;
     }
@@ -49,95 +75,79 @@ std::string SqlDialect::RenderSql(const std::string& sql,
   return out;
 }
 
-Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
-                                         const std::vector<Value>& params) {
-  queries_issued_.fetch_add(1, std::memory_order_relaxed);
+Result<std::shared_ptr<const SqlDialect::CachedStatement>> SqlDialect::Lookup(
+    const std::string& key, const std::function<std::string()>& build_sql) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
-  }
-  QueryTrace* query_trace = CurrentTrace();
-  uint64_t start = query_trace != nullptr
-                       ? query_trace->clock()->NowMicros()
-                       : 0;
-  Result<sql::ResultSet> result = QueryUntraced(sql, params);
-  if (query_trace != nullptr) {
-    SqlTraceRecord record;
-    record.table = TableFromSql(sql);
-    record.sql = RenderSql(sql, params);
-    record.micros = query_trace->clock()->NowMicros() - start;
-    if (result.ok()) {
-      record.access_path = result->exec.AccessPath();
-      record.exec_mode = result->exec.ExecMode();
-      record.rows_scanned = result->exec.rows_scanned;
-      record.rows_returned = result->rows.size();
-      record.rows_emitted = result->exec.rows_emitted;
-    } else {
-      record.access_path = "error: " + result.status().ToString();
+    auto it = statements_.find(key);
+    if (it != statements_.end()) {
+      skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
+      registry_skeleton_hits_->fetch_add(1);
+      return it->second;
     }
-    query_trace->RecordSql(std::move(record));
   }
-  return result;
+  skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
+  registry_skeleton_misses_->fetch_add(1);
+  // Render and prepare outside the lock; a racing miss on the same key
+  // keeps whichever entry landed first.
+  std::string sql = build_sql();
+  Result<sql::PreparedStatement> prepared = db_->Prepare(sql);
+  if (!prepared.ok()) return prepared.status();
+  auto entry = std::make_shared<const CachedStatement>(
+      CachedStatement{std::move(sql), std::move(*prepared)});
+  std::lock_guard<std::mutex> lock(mutex_);
+  return statements_.emplace(key, std::move(entry)).first->second;
+}
+
+void SqlDialect::NoteIssued(const std::string& sql,
+                            const std::vector<Value>& params) {
+  queries_issued_.fetch_add(1, std::memory_order_relaxed);
+  if (!trace_enabled_.load(std::memory_order_relaxed)) return;
+  std::string rendered = RenderSql(sql, params);
+  std::lock_guard<std::mutex> lock(mutex_);
+  trace_.push_back(std::move(rendered));
 }
 
 Result<sql::ResultSet> SqlDialect::QueryShaped(
     const std::string& shape_key,
     const std::function<std::string()>& build_sql,
     const std::vector<Value>& params) {
-  std::string sql;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = skeletons_.find(shape_key);
-    if (it != skeletons_.end()) sql = it->second;
-  }
-  if (sql.empty()) {
-    skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_misses_->fetch_add(1);
-    sql = build_sql();
-    std::lock_guard<std::mutex> lock(mutex_);
-    skeletons_.emplace(shape_key, sql);
-  } else {
-    skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_hits_->fetch_add(1);
-  }
-  return Query(sql, params);
-}
-
-Result<sql::PreparedStatement> SqlDialect::PrepareCached(
-    const std::string& sql) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = templates_.find(sql);
-    if (it != templates_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;  // copy out of the lock: cheap shared handle
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Result<sql::PreparedStatement> prepared = db_->Prepare(sql);
-  if (!prepared.ok()) return prepared.status();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    templates_.emplace(sql, *prepared);
-  }
-  return prepared;
-}
-
-Result<sql::ResultSet> SqlDialect::QueryUntraced(
-    const std::string& sql, const std::vector<Value>& params) {
-  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
+  Result<std::shared_ptr<const CachedStatement>> stmt =
+      Lookup(shape_key, build_sql);
   if (!stmt.ok()) return stmt.status();
+  const std::string& sql = (*stmt)->sql;
+  NoteIssued(sql, params);
+  QueryTrace* query_trace = CurrentTrace();
+  uint64_t start =
+      query_trace != nullptr ? query_trace->clock()->NowMicros() : 0;
   // Execute outside the cache lock: statement execution takes database
   // locks and may run long.
-  return stmt->Execute(params);
+  Result<sql::ResultSet> result = (*stmt)->prepared.Execute(params);
+  if (query_trace != nullptr) {
+    static const sql::ExecInfo kNoExec;
+    query_trace->RecordSql(MakeTraceRecord(
+        sql, params, result.status(), result.ok() ? result->exec : kNoExec,
+        result.ok() ? result->rows.size() : 0,
+        query_trace->clock()->NowMicros() - start));
+  }
+  return result;
+}
+
+Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
+                                         const std::vector<Value>& params) {
+  std::string key(1, '\0');
+  key += sql;
+  return QueryShaped(key, [&sql] { return sql; }, params);
 }
 
 DialectRowStream::DialectRowStream(std::unique_ptr<sql::RowStream> stream,
-                                   QueryTrace* trace, SqlTraceRecord record,
+                                   QueryTrace* trace, std::string sql,
+                                   std::vector<Value> params,
                                    uint64_t start_micros)
     : stream_(std::move(stream)),
       trace_(trace),
-      record_(std::move(record)),
+      sql_(std::move(sql)),
+      params_(std::move(params)),
       start_micros_(start_micros) {}
 
 DialectRowStream::~DialectRowStream() { Close(); }
@@ -160,76 +170,40 @@ void DialectRowStream::Close() {
 void DialectRowStream::FileRecord() {
   if (trace_ == nullptr || filed_) return;
   filed_ = true;
-  const sql::ExecInfo& exec = stream_->exec();
-  record_.micros = trace_->clock()->NowMicros() - start_micros_;
-  if (stream_->status().ok()) {
-    record_.access_path = exec.AccessPath();
-    record_.exec_mode = exec.ExecMode();
-    record_.rows_scanned = exec.rows_scanned;
-    record_.rows_returned = rows_seen_;
-    record_.rows_emitted = exec.rows_emitted;
-  } else {
-    record_.access_path = "error: " + stream_->status().ToString();
-  }
-  trace_->RecordSql(std::move(record_));
-}
-
-Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
-    const std::string& sql, const std::vector<Value>& params,
-    size_t block_rows) {
-  queries_issued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
-  }
-  QueryTrace* query_trace = CurrentTrace();
-  uint64_t start =
-      query_trace != nullptr ? query_trace->clock()->NowMicros() : 0;
-  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
-  if (!stmt.ok()) return stmt.status();
-  Result<std::unique_ptr<sql::RowStream>> stream =
-      stmt->ExecuteStreaming(params, block_rows);
-  if (!stream.ok()) {
-    if (query_trace != nullptr) {
-      SqlTraceRecord record;
-      record.table = TableFromSql(sql);
-      record.sql = RenderSql(sql, params);
-      record.access_path = "error: " + stream.status().ToString();
-      record.micros = query_trace->clock()->NowMicros() - start;
-      query_trace->RecordSql(std::move(record));
-    }
-    return stream.status();
-  }
-  SqlTraceRecord record;
-  if (query_trace != nullptr) {
-    record.table = TableFromSql(sql);
-    record.sql = RenderSql(sql, params);
-  }
-  return std::unique_ptr<DialectRowStream>(new DialectRowStream(
-      std::move(*stream), query_trace, std::move(record), start));
+  trace_->RecordSql(MakeTraceRecord(sql_, params_, stream_->status(),
+                                    stream_->exec(), rows_seen_,
+                                    trace_->clock()->NowMicros() -
+                                        start_micros_));
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(
     const std::string& shape_key,
     const std::function<std::string()>& build_sql,
     const std::vector<Value>& params, size_t block_rows) {
-  std::string sql;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = skeletons_.find(shape_key);
-    if (it != skeletons_.end()) sql = it->second;
+  Result<std::shared_ptr<const CachedStatement>> stmt =
+      Lookup(shape_key, build_sql);
+  if (!stmt.ok()) return stmt.status();
+  const std::string& sql = (*stmt)->sql;
+  NoteIssued(sql, params);
+  QueryTrace* query_trace = CurrentTrace();
+  uint64_t start =
+      query_trace != nullptr ? query_trace->clock()->NowMicros() : 0;
+  Result<std::unique_ptr<sql::RowStream>> stream =
+      (*stmt)->prepared.ExecuteStreaming(params, block_rows);
+  if (!stream.ok()) {
+    if (query_trace != nullptr) {
+      query_trace->RecordSql(MakeTraceRecord(
+          sql, params, stream.status(), sql::ExecInfo{}, 0,
+          query_trace->clock()->NowMicros() - start));
+    }
+    return stream.status();
   }
-  if (sql.empty()) {
-    skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_misses_->fetch_add(1);
-    sql = build_sql();
-    std::lock_guard<std::mutex> lock(mutex_);
-    skeletons_.emplace(shape_key, sql);
-  } else {
-    skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_hits_->fetch_add(1);
+  if (query_trace == nullptr) {
+    return std::unique_ptr<DialectRowStream>(new DialectRowStream(
+        std::move(*stream), nullptr, {}, {}, start));
   }
-  return QueryStreaming(sql, params, block_rows);
+  return std::unique_ptr<DialectRowStream>(new DialectRowStream(
+      std::move(*stream), query_trace, sql, params, start));
 }
 
 void SqlDialect::RecordPattern(const std::string& table,

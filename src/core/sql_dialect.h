@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
 // The SQL Dialect module (paper Section 6.1): everything Db2-facing.
-// It executes the SQL the Graph Structure module generates, keeps a cache
-// of pre-compiled statement templates, tracks frequent query patterns, and
-// suggests indexes that would speed the translated queries up.
+// It executes the SQL the Graph Structure module generates, keeps one cache
+// of pre-compiled statement templates keyed by query shape, tracks frequent
+// query patterns, and suggests indexes that would speed the translated
+// queries up.
 
 #ifndef DB2GRAPH_CORE_SQL_DIALECT_H_
 #define DB2GRAPH_CORE_SQL_DIALECT_H_
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -24,9 +26,9 @@ namespace db2graph::core {
 
 class SqlDialect;
 
-/// A live streaming query handed out by SqlDialect::QueryStreaming: wraps
-/// the database RowStream and, when a QueryTrace is installed, files the
-/// statement's SqlTraceRecord once — when the stream is exhausted or
+/// A live streaming query handed out by SqlDialect::QueryShapedStreaming:
+/// wraps the database RowStream and, when a QueryTrace is installed, files
+/// the statement's SqlTraceRecord once — when the stream is exhausted or
 /// closed — so a short-circuited query reports the rows it actually
 /// scanned, not the full materialized cost.
 class DialectRowStream : public sql::RowSource {
@@ -35,21 +37,20 @@ class DialectRowStream : public sql::RowSource {
   bool Next(sql::RowBlock* out) override;
   void Close() override;
 
-  const std::vector<std::string>& columns() const {
-    return stream_->columns();
-  }
   const Status& status() const { return stream_->status(); }
-  const sql::ExecInfo& exec() const { return stream_->exec(); }
 
  private:
   friend class SqlDialect;
   DialectRowStream(std::unique_ptr<sql::RowStream> stream, QueryTrace* trace,
-                   SqlTraceRecord record, uint64_t start_micros);
+                   std::string sql, std::vector<Value> params,
+                   uint64_t start_micros);
   void FileRecord();
 
   std::unique_ptr<sql::RowStream> stream_;
   QueryTrace* trace_;  // nullptr when untraced
-  SqlTraceRecord record_;
+  // Statement text and parameters for the trace record (traced only).
+  std::string sql_;
+  std::vector<Value> params_;
   uint64_t start_micros_;
   uint64_t rows_seen_ = 0;
   bool filed_ = false;
@@ -62,7 +63,7 @@ class SqlDialect {
   /// matching index exists.
   static constexpr uint64_t kFrequentPatternThreshold = 16;
 
-  /// Registry metric names for the SQL-skeleton cache.
+  /// Registry metric names for the statement cache's hits and misses.
   static constexpr const char* kSkeletonHitsCounter =
       "sql_dialect.skeleton_hits";
   static constexpr const char* kSkeletonMissesCounter =
@@ -78,46 +79,45 @@ class SqlDialect {
 
   sql::Database* db() const { return db_; }
 
-  /// Executes a parameterized SELECT, preparing it on first use and
-  /// reusing the compiled statement afterwards (the pre-compiled SQL
-  /// template cache of Section 6.1).
-  Result<sql::ResultSet> Query(const std::string& sql,
-                               const std::vector<Value>& params);
-
   /// Executes a query identified by its *shape*: `build_sql` runs only
-  /// the first time `shape_key` is seen and the produced SQL text is
-  /// cached, so steady-state execution of a repeated query shape skips
-  /// string assembly entirely — per-execution values arrive through
-  /// `params`. The cached text then flows through Query(), reusing its
-  /// compiled statement template as well. Callers must guarantee the key
-  /// uniquely determines the text `build_sql` would produce.
+  /// the first time `shape_key` is seen; the produced SQL text is
+  /// prepared once and cached with its compiled statement template (the
+  /// pre-compiled SQL templates of Section 6.1), so steady-state
+  /// execution of a repeated query shape skips string assembly and
+  /// parsing entirely — per-execution values arrive through `params`.
+  /// Callers must guarantee the key uniquely determines the text
+  /// `build_sql` would produce.
   Result<sql::ResultSet> QueryShaped(
       const std::string& shape_key,
       const std::function<std::string()>& build_sql,
       const std::vector<Value>& params);
 
-  /// Streaming variant of Query(): compiles (reusing the statement
-  /// template cache) and returns a live block stream instead of a
-  /// materialized result. See sql::RowStream for lock/lifetime rules.
-  Result<std::unique_ptr<DialectRowStream>> QueryStreaming(
-      const std::string& sql, const std::vector<Value>& params,
-      size_t block_rows = sql::kDefaultBlockRows);
-
-  /// Streaming variant of QueryShaped().
+  /// Streaming variant of QueryShaped(): returns a live block stream
+  /// instead of a materialized result. See sql::RowStream for
+  /// lock/lifetime rules.
   Result<std::unique_ptr<DialectRowStream>> QueryShapedStreaming(
       const std::string& shape_key,
       const std::function<std::string()>& build_sql,
       const std::vector<Value>& params,
       size_t block_rows = sql::kDefaultBlockRows);
 
+  /// Executes a parameterized SELECT given as text, through the same
+  /// statement cache (keyed by the text itself).
+  Result<sql::ResultSet> Query(const std::string& sql,
+                               const std::vector<Value>& params);
+
   /// Records that a query against `table` constrained these columns.
   void RecordPattern(const std::string& table,
                      std::vector<std::string> predicate_columns);
 
   /// Renders a parameterized statement with '?' placeholders substituted
-  /// by SQL literals (trace/EXPLAIN display; never executed).
+  /// by SQL literals (trace/EXPLAIN display; never executed). Parameters
+  /// in [unbound_begin, unbound_end) — values Explain cannot know because
+  /// they bind at execution — stay '?'.
   static std::string RenderSql(const std::string& sql,
-                               const std::vector<Value>& params);
+                               const std::vector<Value>& params,
+                               size_t unbound_begin = 0,
+                               size_t unbound_end = 0);
 
   /// Index advisor output: frequent patterns that have no backing index.
   struct IndexSuggestion {
@@ -134,8 +134,8 @@ class SqlDialect {
   /// substituted (tests assert the exact SQL the graph layer generates).
   void EnableTrace() {
     std::lock_guard<std::mutex> lock(mutex_);
-    trace_enabled_ = true;
     trace_.clear();
+    trace_enabled_.store(true, std::memory_order_relaxed);
   }
   /// Returns and clears the trace.
   std::vector<std::string> TakeTrace() {
@@ -146,44 +146,51 @@ class SqlDialect {
   }
 
   uint64_t queries_issued() const { return queries_issued_.load(); }
-  uint64_t template_cache_hits() const { return cache_hits_.load(); }
-  uint64_t template_cache_misses() const { return cache_misses_.load(); }
+  /// Statement-cache lookups answered from (hits) or added to (misses)
+  /// the cache.
   uint64_t skeleton_cache_hits() const { return skeleton_hits_.load(); }
   uint64_t skeleton_cache_misses() const { return skeleton_misses_.load(); }
   void ResetCounters() {
     queries_issued_ = 0;
-    cache_hits_ = 0;
-    cache_misses_ = 0;
     skeleton_hits_ = 0;
     skeleton_misses_ = 0;
   }
 
  private:
-  /// Query() minus the per-statement trace bookkeeping.
-  Result<sql::ResultSet> QueryUntraced(const std::string& sql,
-                                       const std::vector<Value>& params);
+  /// One cached statement: the SQL text a shape renders to and its
+  /// prepared template. Immutable once cached; handed out shared so a hit
+  /// copies no text.
+  struct CachedStatement {
+    std::string sql;
+    sql::PreparedStatement prepared;
+  };
 
-  /// Looks the statement up in (or inserts it into) the template cache.
-  Result<sql::PreparedStatement> PrepareCached(const std::string& sql);
+  /// The statement cached under `key`, preparing and caching the text
+  /// `build_sql` produces on a miss. A hit takes the cache lock once.
+  Result<std::shared_ptr<const CachedStatement>> Lookup(
+      const std::string& key, const std::function<std::string()>& build_sql);
+
+  /// Counts one issued statement and files it in the dialect trace when
+  /// that is enabled.
+  void NoteIssued(const std::string& sql, const std::vector<Value>& params);
 
   sql::Database* db_;
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, sql::PreparedStatement> templates_;
-  /// shape key -> generated SQL text (the skeleton).
-  std::unordered_map<std::string, std::string> skeletons_;
+  /// Shape key -> cached statement. Query()'s text-keyed statements live
+  /// in the same map under a NUL-byte prefix no shape key starts with.
+  std::unordered_map<std::string, std::shared_ptr<const CachedStatement>>
+      statements_;
   std::map<std::pair<std::string, std::vector<std::string>>, uint64_t>
       pattern_counts_;
 
   std::atomic<uint64_t> queries_issued_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> skeleton_hits_{0};
   std::atomic<uint64_t> skeleton_misses_{0};
   metrics::Counter* registry_skeleton_hits_;
   metrics::Counter* registry_skeleton_misses_;
 
-  bool trace_enabled_ = false;
+  std::atomic<bool> trace_enabled_{false};
   std::vector<std::string> trace_;
 };
 

@@ -54,6 +54,73 @@ bool MatchesSpec(const Element& element, const LookupSpec& spec) {
   return true;
 }
 
+void AggregateAccumulator::AddToSum(const Value& v) {
+  if (!v.is_numeric()) {
+    all_int_ = false;
+    return;
+  }
+  sum_ += v.NumericValue();
+  if (v.is_int()) {
+    int_sum_ += v.as_int();
+  } else {
+    all_int_ = false;
+  }
+}
+
+void AggregateAccumulator::Add(const Value& v) {
+  if (op_ == AggOp::kCount) {
+    ++count_;
+    return;
+  }
+  if (v.is_null()) return;
+  ++count_;
+  AddToSum(v);
+  if (min_.is_null() || v < min_) min_ = v;
+  if (max_.is_null() || v > max_) max_ = v;
+}
+
+void AggregateAccumulator::AddPartial(const Row& partial) {
+  const Value& v = partial[0];
+  switch (op_) {
+    case AggOp::kCount:
+      if (!v.is_null()) count_ += v.as_int();
+      break;
+    case AggOp::kSum:
+    case AggOp::kMean:
+      if (!v.is_null()) {
+        AddToSum(v);
+        count_ += partial[1].as_int();
+      }
+      break;
+    case AggOp::kMin:
+    case AggOp::kMax:
+      Add(v);
+      break;
+    case AggOp::kNone:
+      break;
+  }
+}
+
+Value AggregateAccumulator::Result() const {
+  switch (op_) {
+    case AggOp::kCount:
+      return Value(count_);
+    case AggOp::kSum:
+      if (count_ == 0) return Value::Null();
+      return all_int_ ? Value(int_sum_) : Value(sum_);
+    case AggOp::kMean:
+      if (count_ == 0) return Value::Null();
+      return Value(sum_ / static_cast<double>(count_));
+    case AggOp::kMin:
+      return min_;
+    case AggOp::kMax:
+      return max_;
+    case AggOp::kNone:
+      break;
+  }
+  return Value::Null();
+}
+
 Status GraphProvider::AdjacentEdges(const std::vector<VertexPtr>& from,
                                     Direction dir, const LookupSpec& spec,
                                     std::vector<EdgePtr>* out) {

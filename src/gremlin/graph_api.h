@@ -100,6 +100,37 @@ inline const char kLabelKey[] = "~label";
 /// Client-side-computable aggregate, also pushed down when supported.
 enum class AggOp { kNone, kCount, kSum, kMean, kMin, kMax };
 
+/// Folds values into one aggregate under the rules every aggregation
+/// path shares (client-side streams and the per-table SQL partials a
+/// provider merges): NULLs are skipped, an all-integer sum stays an
+/// integer, mean is sum / count, and an empty input yields NULL — except
+/// count, which yields 0.
+class AggregateAccumulator {
+ public:
+  explicit AggregateAccumulator(AggOp op) : op_(op) {}
+
+  /// One element of the aggregated stream (count counts it even when
+  /// NULL).
+  void Add(const Value& v);
+  /// One table's partial result, in the select-list shape a provider
+  /// pushes down: COUNT(...) for count, SUM(c), COUNT(c) for sum and
+  /// mean, MIN(c) / MAX(c) for min and max.
+  void AddPartial(const Row& partial);
+
+  Value Result() const;
+
+ private:
+  void AddToSum(const Value& v);
+
+  AggOp op_;
+  int64_t count_ = 0;
+  double sum_ = 0;
+  int64_t int_sum_ = 0;
+  bool all_int_ = true;
+  Value min_;
+  Value max_;
+};
+
 /// What to retrieve, with every pushdown hint the optimized traversal
 /// strategies may fold in.
 struct LookupSpec {

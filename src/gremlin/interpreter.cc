@@ -661,46 +661,28 @@ namespace {
 
 // Client-side aggregation over a traverser stream.
 Value AggregateStream(const std::vector<Traverser>& stream, AggOp op) {
-  if (op == AggOp::kCount) {
-    return Value(static_cast<int64_t>(stream.size()));
-  }
-  int64_t count = 0;
-  double sum = 0;
-  bool all_int = true;
-  int64_t isum = 0;
-  Value min_v;
-  Value max_v;
+  AggregateAccumulator acc(op);
   for (const Traverser& t : stream) {
-    Value v = t.kind == Traverser::Kind::kValue ? t.value : t.DedupKey();
-    if (v.is_null()) continue;
-    ++count;
-    if (v.is_numeric()) {
-      sum += v.NumericValue();
-      if (v.is_int()) {
-        isum += v.as_int();
-      } else {
-        all_int = false;
-      }
-    } else {
-      all_int = false;
+    // count() counts traversers whatever their values.
+    acc.Add(op == AggOp::kCount ? Value() : t.DedupKey());
+  }
+  return acc.Result();
+}
+
+// Aggregates fetched elements — or, when the aggregate was folded over
+// values(key), the `key` values of the elements that have one.
+template <typename Ptr>
+Value AggregateElements(const std::vector<Ptr>& elements, AggOp op,
+                        const std::string& key) {
+  AggregateAccumulator acc(op);
+  for (const Ptr& e : elements) {
+    if (key.empty()) {
+      acc.Add(e->id);
+    } else if (const Value* v = e->FindProperty(key)) {
+      acc.Add(*v);
     }
-    if (min_v.is_null() || v < min_v) min_v = v;
-    if (max_v.is_null() || v > max_v) max_v = v;
   }
-  switch (op) {
-    case AggOp::kSum:
-      return count == 0 ? Value::Null()
-                        : (all_int ? Value(isum) : Value(sum));
-    case AggOp::kMean:
-      return count == 0 ? Value::Null()
-                        : Value(sum / static_cast<double>(count));
-    case AggOp::kMin:
-      return min_v;
-    case AggOp::kMax:
-      return max_v;
-    default:
-      return Value::Null();
-  }
+  return acc.Result();
 }
 
 }  // namespace
@@ -755,32 +737,17 @@ Status Interpreter::ApplyGraphStep(const Step& step,
       return agg.status();
     }
     spec.agg = AggOp::kNone;  // fetch elements, aggregate below
-    std::vector<Traverser> fetched;
+    Value result;
     if (step.graph_emits_edges) {
       std::vector<EdgePtr> edges;
       DB2G_RETURN_NOT_OK(provider_->Edges(spec, &edges));
-      for (EdgePtr& e : edges) fetched.push_back(Traverser::OfEdge(e));
+      result = AggregateElements(edges, step.spec.agg, step.spec.agg_key);
     } else {
       std::vector<VertexPtr> vertices;
       DB2G_RETURN_NOT_OK(provider_->Vertices(spec, &vertices));
-      for (VertexPtr& v : vertices) {
-        fetched.push_back(Traverser::OfVertex(v));
-      }
+      result = AggregateElements(vertices, step.spec.agg, step.spec.agg_key);
     }
-    // When the aggregate was folded over values(key), aggregate the
-    // property values, not the elements.
-    if (!step.spec.agg_key.empty()) {
-      std::vector<Traverser> values;
-      for (const Traverser& t : fetched) {
-        const Element* e = t.element();
-        if (e == nullptr) continue;
-        if (const Value* v = e->FindProperty(step.spec.agg_key)) {
-          values.push_back(Traverser::OfValue(*v));
-        }
-      }
-      fetched = std::move(values);
-    }
-    out->push_back(Traverser::OfValue(AggregateStream(fetched, step.spec.agg)));
+    out->push_back(Traverser::OfValue(std::move(result)));
     return Status::OK();
   }
 
@@ -810,6 +777,20 @@ Status Interpreter::ApplyGraphStep(const Step& step,
   return Status::OK();
 }
 
+LookupSpec AdjacencyEdgeSpec(const Step& step) {
+  LookupSpec edge_spec;
+  edge_spec.labels = step.edge_labels;
+  if (step.to_vertex) return edge_spec;
+  edge_spec.predicates = step.spec.predicates;
+  edge_spec.projection = step.spec.projection;
+  edge_spec.has_projection = step.spec.has_projection;
+  if (step.spec.agg == AggOp::kCount && step.direction != Direction::kBoth) {
+    edge_spec.agg = AggOp::kCount;
+    edge_spec.agg_key = step.spec.agg_key;
+  }
+  return edge_spec;
+}
+
 Status Interpreter::ApplyVertexStep(const Step& step,
                                     std::vector<Traverser> input,
                                     std::vector<Traverser>* out) {
@@ -827,41 +808,27 @@ Status Interpreter::ApplyVertexStep(const Step& step,
     // A folded aggregate still produces its value over the empty stream
     // (count() of nothing is 0).
     if (!step.to_vertex && step.spec.agg != AggOp::kNone) {
-      out->push_back(Traverser::OfValue(AggregateStream({}, step.spec.agg)));
+      out->push_back(
+          Traverser::OfValue(AggregateAccumulator(step.spec.agg).Result()));
     }
     return Status::OK();
   }
 
   // Fetch incident edges (labels + any pushed-down *edge* predicates).
-  LookupSpec edge_spec;
-  edge_spec.labels = step.edge_labels;
-  if (!step.to_vertex) {
-    edge_spec.predicates = step.spec.predicates;
-    edge_spec.projection = step.spec.projection;
-    edge_spec.has_projection = step.spec.has_projection;
-    edge_spec.agg = step.spec.agg;
-    edge_spec.agg_key = step.spec.agg_key;
-  }
+  LookupSpec edge_spec = AdjacencyEdgeSpec(step);
 
   // Aggregate pushdown for the common v.outE(lbl).count() shape, only
   // correct when each traverser is a distinct vertex (the barrier sums
   // over all input anyway).
-  if (!step.to_vertex && edge_spec.agg == AggOp::kCount &&
-      sources.size() == input.size()) {
+  if (edge_spec.agg != AggOp::kNone && sources.size() == input.size()) {
     LookupSpec spec = edge_spec;
-    std::vector<Value> ids;
+    std::vector<Value>& ids =
+        step.direction == Direction::kOut ? spec.src_ids : spec.dst_ids;
     for (const VertexPtr& v : sources) ids.push_back(v->id);
-    if (step.direction == Direction::kOut) {
-      spec.src_ids = ids;
-    } else if (step.direction == Direction::kIn) {
-      spec.dst_ids = ids;
-    }
-    if (step.direction != Direction::kBoth) {
-      Result<Value> agg = provider_->AggregateEdges(spec);
-      if (agg.ok()) {
-        out->push_back(Traverser::OfValue(*agg));
-        return Status::OK();
-      }
+    Result<Value> agg = provider_->AggregateEdges(spec);
+    if (agg.ok()) {
+      out->push_back(Traverser::OfValue(*agg));
+      return Status::OK();
     }
   }
   edge_spec.agg = AggOp::kNone;
@@ -887,32 +854,26 @@ Status Interpreter::ApplyVertexStep(const Step& step,
   }
 
   if (!step.to_vertex) {
-    // outE/inE/bothE: emit the edges per traverser.
-    std::vector<Traverser> emitted;
+    // outE/inE/bothE: emit the edges per traverser. An aggregate folded
+    // into this step that was not pushed down to the provider
+    // (unsupported, kBoth, duplicate anchors) collapses them instead.
+    const bool aggregate = step.spec.agg != AggOp::kNone;
+    std::vector<EdgePtr> basis;
     for (const Traverser& t : input) {
       auto it = by_source.find(t.vertex->id);
       if (it == by_source.end()) continue;
       for (const EdgePtr& e : it->second) {
-        emitted.push_back(Derive(t, Traverser::OfEdge(e), e->id));
-      }
-    }
-    // An aggregate folded into this step that was not pushed down to the
-    // provider (unsupported, kBoth, duplicate anchors) collapses here.
-    if (step.spec.agg != AggOp::kNone) {
-      std::vector<Traverser> basis;
-      if (!step.spec.agg_key.empty()) {
-        for (const Traverser& t : emitted) {
-          if (const Value* v = t.edge->FindProperty(step.spec.agg_key)) {
-            basis.push_back(Traverser::OfValue(*v));
-          }
+        if (aggregate) {
+          basis.push_back(e);
+        } else {
+          out->push_back(Derive(t, Traverser::OfEdge(e), e->id));
         }
-      } else {
-        basis = std::move(emitted);
       }
-      out->push_back(Traverser::OfValue(AggregateStream(basis, step.spec.agg)));
-      return Status::OK();
     }
-    for (Traverser& t : emitted) out->push_back(std::move(t));
+    if (aggregate) {
+      out->push_back(Traverser::OfValue(
+          AggregateElements(basis, step.spec.agg, step.spec.agg_key)));
+    }
     return Status::OK();
   }
 

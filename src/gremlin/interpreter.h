@@ -54,6 +54,13 @@ struct Traverser {
 /// scalars) produced by a terminated traversal.
 using Environment = std::unordered_map<std::string, std::vector<Value>>;
 
+/// The edge lookup a VertexStep issues for its source vertices, before
+/// their ids bind as endpoint constraints: the step's edge labels, plus
+/// for outE/inE its pushed-down predicates and projection and a folded
+/// count(), which is pushed down unless the direction is both. Execution
+/// and Explain both take the spec from here.
+LookupSpec AdjacencyEdgeSpec(const Step& step);
+
 /// Executes traversals and scripts against a provider.
 class Interpreter {
  public:

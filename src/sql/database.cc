@@ -653,6 +653,7 @@ Result<ResultSet> Database::ExecuteUpdate(const UpdateStmt& stmt,
   }
 
   ResultSet result;
+  CountSlotWalk(*table, &result.exec);
   for (RowId rid = 0; rid < table->slot_count(); ++rid) {
     if (!table->IsLive(rid)) continue;
     const Row& row = table->GetRow(rid);
@@ -691,6 +692,8 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
     where = stmt.where->Clone();
     DB2G_RETURN_NOT_OK(BindExpr(where.get(), scope));
   }
+  ResultSet result;
+  CountSlotWalk(*table, &result.exec);
   std::vector<RowId> to_delete;
   for (RowId rid = 0; rid < table->slot_count(); ++rid) {
     if (!table->IsLive(rid)) continue;
@@ -700,7 +703,6 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
     }
     to_delete.push_back(rid);
   }
-  ResultSet result;
   for (RowId rid : to_delete) {
     Result<Row> image = table->Delete(rid);
     if (!image.ok()) return image.status();
@@ -712,6 +714,13 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
   }
   table->PublishColumnStats();
   return result;
+}
+
+void Database::CountSlotWalk(const Table& table, ExecInfo* exec) {
+  exec->full_scans += 1;
+  exec->rows_scanned += table.row_count();
+  stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
+  stats_.rows_scanned.fetch_add(table.row_count(), std::memory_order_relaxed);
 }
 
 void Database::LogUndo(UndoRecord record) {

@@ -328,6 +328,10 @@ class Database {
                                   const std::vector<Value>& params);
   Status CheckForeignKeysOnInsert(const Table& table, const Row& row);
 
+  /// UPDATE and DELETE find their rows by walking every slot of `table`:
+  /// counts that walk as one full scan over its live rows, in `exec` and
+  /// in stats().
+  void CountSlotWalk(const Table& table, ExecInfo* exec);
   void LogUndo(UndoRecord record);
   void RollbackLocked();
 

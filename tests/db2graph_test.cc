@@ -515,7 +515,7 @@ TEST_F(Db2GraphTest, TemplateCacheHitsOnRepeatedQueries) {
         "g.V('patient::" + std::to_string(1 + i % 3) + "')");
     ASSERT_TRUE(out.ok()) << out.status().ToString();
   }
-  EXPECT_GT((*graph)->dialect()->template_cache_hits(), 0u);
+  EXPECT_GT((*graph)->dialect()->skeleton_cache_hits(), 0u);
   EXPECT_GE((*graph)->dialect()->queries_issued(), 5u);
 }
 

@@ -322,8 +322,10 @@ TEST_P(CodecRoundTripTest, RandomValueStreamsRoundTrip) {
           values.push_back(Value(rng() % 2 == 0));
           break;
         case 2:
-          values.push_back(Value(
-              static_cast<int64_t>(rng()) - (int64_t{1} << 62)));
+          // Wrapping subtraction in unsigned arithmetic: the signed form
+          // overflows for draws below 2^62 - 2^63.
+          values.push_back(
+              Value(static_cast<int64_t>(rng() - (uint64_t{1} << 62))));
           break;
         case 3:
           values.push_back(

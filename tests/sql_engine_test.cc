@@ -236,6 +236,33 @@ TEST_F(SqlEngineTest, UpdateChangesMatchingRows) {
   EXPECT_EQ(rs.rows[0][0], Value("moved"));
 }
 
+TEST_F(SqlEngineTest, DmlCountsItsSlotWalkAsAFullScan) {
+  // UPDATE and DELETE visit every live slot to find their rows; both the
+  // statement's ExecInfo and the database counters report that walk.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE Hundred (k BIGINT, v BIGINT)").ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO Hundred VALUES (" +
+                            std::to_string(i) + ", 0)")
+                    .ok());
+  }
+  ExecStats::Counts before = db_.stats().Snapshot();
+  ResultSet rs = Query("UPDATE Hundred SET v = 1 WHERE k = 7");
+  ExecStats::Counts after = db_.stats().Snapshot();
+  EXPECT_EQ(rs.affected, 1);
+  EXPECT_EQ(rs.exec.rows_scanned, 100u);
+  EXPECT_EQ(rs.exec.full_scans, 1u);
+  EXPECT_EQ(after.rows_scanned - before.rows_scanned, 100u);
+  EXPECT_EQ(after.full_scans - before.full_scans, 1u);
+
+  before = db_.stats().Snapshot();
+  rs = Query("DELETE FROM Hundred WHERE k < 10");
+  after = db_.stats().Snapshot();
+  EXPECT_EQ(rs.affected, 10);
+  EXPECT_EQ(rs.exec.rows_scanned, 100u);
+  EXPECT_EQ(after.rows_scanned - before.rows_scanned, 100u);
+  EXPECT_EQ(after.full_scans - before.full_scans, 1u);
+}
+
 TEST_F(SqlEngineTest, DeleteRemovesRowsAndIndexEntries) {
   ResultSet rs = Query("DELETE FROM HasDisease WHERE diseaseID = 11");
   EXPECT_EQ(rs.affected, 2);

@@ -5,10 +5,47 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "core/db2graph.h"
 
 namespace db2graph::core {
 namespace {
+
+// Whether `executed` is `preview` with each '?' — a value Explain cannot
+// know because it binds at execution (endpoint ids) — replaced by one SQL
+// literal.
+bool MatchesPreview(const std::string& preview, const std::string& executed) {
+  size_t e = 0;
+  for (char c : preview) {
+    if (c != '?') {
+      if (e >= executed.size() || executed[e] != c) return false;
+      ++e;
+      continue;
+    }
+    size_t start = e;
+    if (e < executed.size() && executed[e] == '\'') {
+      // A quoted string; '' escapes a quote.
+      for (++e; e < executed.size(); ++e) {
+        if (executed[e] != '\'') continue;
+        if (e + 1 < executed.size() && executed[e + 1] == '\'') {
+          ++e;
+        } else {
+          break;
+        }
+      }
+      if (e++ >= executed.size()) return false;
+    } else {
+      while (e < executed.size() &&
+             (std::isalnum(static_cast<unsigned char>(executed[e])) ||
+              executed[e] == '.' || executed[e] == '-')) {
+        ++e;
+      }
+    }
+    if (e == start) return false;
+  }
+  return e == executed.size();
+}
 
 class SqlGenerationTest : public ::testing::Test {
  protected:
@@ -157,6 +194,36 @@ TEST_F(SqlGenerationTest, NaiveModeQueriesEveryTable) {
   ASSERT_EQ(sql.size(), 2u);
   EXPECT_NE(sql[0].find("FROM \"Patient\""), std::string::npos);
   EXPECT_EQ(sql[1], "SELECT \"diseaseID\", \"conceptName\" FROM \"Disease\"");
+}
+
+TEST_F(SqlGenerationTest, ExplainPreviewsTheStatementsExecutionIssues) {
+  // Explain and execution build each table's statement in one place, so
+  // the preview of every shape is the SQL one execution issues, in order.
+  for (const std::string q : {
+           "g.V().hasLabel('disease').count()",
+           "g.V('patient::1').outE('hasDisease').count()",
+           "g.V('patient::1').outE('hasDisease')",
+           "g.V('patient::1').out('hasDisease')",  // + pinned endpoint fetch
+           "g.V().has('name', 'Alice').limit(1)",
+           "g.V().values('name', 'address')",
+           "g.V('patient::1')",
+       }) {
+    SCOPED_TRACE(q);
+    Result<Db2Graph::ExplainResult> explain = graph_->Explain(q);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    std::vector<std::string> previewed;
+    for (const Json& step : explain->json.Find("steps")->items()) {
+      for (const Json& stmt : step.Find("statements")->items()) {
+        previewed.push_back(stmt.Find("sql")->as_string());
+      }
+    }
+    std::vector<std::string> executed = Trace(q);
+    ASSERT_EQ(previewed.size(), executed.size());
+    for (size_t i = 0; i < executed.size(); ++i) {
+      EXPECT_TRUE(MatchesPreview(previewed[i], executed[i]))
+          << "previewed: " << previewed[i] << "\nexecuted:  " << executed[i];
+    }
+  }
 }
 
 }  // namespace

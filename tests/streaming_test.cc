@@ -192,9 +192,9 @@ TEST(StreamingScanBudgetTest, LimitShortCircuitsSingleTableScan) {
   ASSERT_TRUE(streaming.ok());
   // The pre-streaming baseline: materialized interpretation AND no LIMIT
   // pushdown (both were introduced together; pushdown alone would bound
-  // the baseline's scan through the SQL-side LimitOp).
+  // the baseline's scan through the SQL-side LimitOp). Both graphs share
+  // the database's session config, so the mode is set per call.
   Db2Graph::Options mat_options;
-  mat_options.exec = ExecConfig().streaming(false);
   mat_options.strategies.limit_pushdown = false;
   Result<std::unique_ptr<Db2Graph>> materialized =
       Db2Graph::Open(&db, linkbench::MakeOverlay(), mat_options);
@@ -203,14 +203,31 @@ TEST(StreamingScanBudgetTest, LimitShortCircuitsSingleTableScan) {
   const std::string q = "g.V().hasLabel('vt3').limit(10)";
   const uint64_t kBlock = 256;  // default streaming block size
 
+  QueryTrace s_trace;
+  QueryTrace m_trace;
+  ExecOptions s_exec;
+  s_exec.trace = &s_trace;
+  ExecOptions m_exec;
+  m_exec.trace = &m_trace;
+  m_exec.config = ExecConfig().streaming(false);
   sql::ExecStats::Counts before = db.stats().Snapshot();
-  Result<std::vector<Traverser>> s_out = (*streaming)->Execute(q);
+  Result<std::vector<Traverser>> s_out = (*streaming)->Execute(q, s_exec);
   sql::ExecStats::Counts mid = db.stats().Snapshot();
-  Result<std::vector<Traverser>> m_out = (*materialized)->Execute(q);
+  Result<std::vector<Traverser>> m_out = (*materialized)->Execute(q, m_exec);
   sql::ExecStats::Counts after = db.stats().Snapshot();
   ASSERT_TRUE(s_out.ok()) << s_out.status().ToString();
   ASSERT_TRUE(m_out.ok()) << m_out.status().ToString();
   ASSERT_EQ(s_out->size(), 10u);
+
+  // The two sides really ran different modes: only the streaming
+  // pipeline pulls blocks.
+  auto blocks = [](const QueryTrace& trace) {
+    uint64_t n = 0;
+    for (const StepTraceSpan& span : trace.Spans()) n += span.blocks;
+    return n;
+  };
+  EXPECT_GT(blocks(s_trace), 0u);
+  EXPECT_EQ(blocks(m_trace), 0u);
 
   // Identical results...
   std::vector<std::string> s_ids;
