@@ -103,12 +103,14 @@ struct ValueHash {
 
 struct RowHash {
   size_t operator()(const Row& row) const {
-    size_t h = 1469598103934665603ull;
-    for (const Value& v : row) {
-      h ^= v.Hash();
-      h *= 1099511628211ull;
-    }
+    size_t h = kSeed;
+    for (const Value& v : row) h = Mix(h, v);
     return h;
+  }
+  /// The fold, for callers hashing values that are not laid out as a Row.
+  static constexpr size_t kSeed = 1469598103934665603ull;
+  static size_t Mix(size_t h, const Value& v) {
+    return (h ^ v.Hash()) * 1099511628211ull;
   }
 };
 

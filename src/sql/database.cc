@@ -1,5 +1,6 @@
 #include "sql/database.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/query_log.h"
@@ -653,10 +654,9 @@ Result<ResultSet> Database::ExecuteUpdate(const UpdateStmt& stmt,
   }
 
   ResultSet result;
-  CountSlotWalk(*table, &result.exec);
-  for (RowId rid = 0; rid < table->slot_count(); ++rid) {
-    if (!table->IsLive(rid)) continue;
-    const Row& row = table->GetRow(rid);
+  for (RowId rid :
+       LocateRows(*table, stmt.table, where.get(), params, &result.exec)) {
+    const Row row = table->GetRow(rid);
     if (where) {
       Value v = EvalExpr(*where, row, &params);
       if (v.is_null() || !v.Truthy()) continue;
@@ -693,10 +693,9 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
     DB2G_RETURN_NOT_OK(BindExpr(where.get(), scope));
   }
   ResultSet result;
-  CountSlotWalk(*table, &result.exec);
   std::vector<RowId> to_delete;
-  for (RowId rid = 0; rid < table->slot_count(); ++rid) {
-    if (!table->IsLive(rid)) continue;
+  for (RowId rid :
+       LocateRows(*table, stmt.table, where.get(), params, &result.exec)) {
     if (where) {
       Value v = EvalExpr(*where, table->GetRow(rid), &params);
       if (v.is_null() || !v.Truthy()) continue;
@@ -714,6 +713,31 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
   }
   table->PublishColumnStats();
   return result;
+}
+
+std::vector<RowId> Database::LocateRows(const Table& table,
+                                        const std::string& name,
+                                        const Expr* where,
+                                        const std::vector<Value>& params,
+                                        ExecInfo* exec) {
+  std::vector<RowId> rids;
+  IndexProbe probe;
+  if (where != nullptr) probe = PlanIndexProbe(table, name, {where}, Scope());
+  if (probe.index != nullptr) {
+    size_t keys = ProbeIndex(probe, Row(), &params, &rids);
+    std::sort(rids.begin(), rids.end());
+    exec->index_probes += keys;
+    exec->rows_scanned += rids.size();
+    stats_.index_probes.fetch_add(keys, std::memory_order_relaxed);
+    stats_.rows_scanned.fetch_add(rids.size(), std::memory_order_relaxed);
+    return rids;
+  }
+  CountSlotWalk(table, exec);
+  rids.reserve(table.row_count());
+  for (RowId rid = 0; rid < table.slot_count(); ++rid) {
+    if (table.IsLive(rid)) rids.push_back(rid);
+  }
+  return rids;
 }
 
 void Database::CountSlotWalk(const Table& table, ExecInfo* exec) {

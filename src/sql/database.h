@@ -328,9 +328,18 @@ class Database {
                                   const std::vector<Value>& params);
   Status CheckForeignKeysOnInsert(const Table& table, const Row& row);
 
-  /// UPDATE and DELETE find their rows by walking every slot of `table`:
-  /// counts that walk as one full scan over its live rows, in `exec` and
-  /// in stats().
+  /// The rows an UPDATE/DELETE on `table` (named `name` in the statement)
+  /// may touch, in RowId order — the slot walk's visit and undo order.
+  /// An indexed equality/IN term of `where` (PlanIndexProbe, as SELECT
+  /// uses) yields the index's candidates, counted as index probes plus
+  /// one scanned row per candidate; otherwise every live slot, counted by
+  /// CountSlotWalk. Callers still evaluate the whole WHERE per candidate.
+  std::vector<RowId> LocateRows(const Table& table, const std::string& name,
+                                const Expr* where,
+                                const std::vector<Value>& params,
+                                ExecInfo* exec);
+  /// Counts the slot walk of `table` as one full scan over its live rows,
+  /// in `exec` and in stats().
   void CountSlotWalk(const Table& table, ExecInfo* exec);
   void LogUndo(UndoRecord record);
   void RollbackLocked();

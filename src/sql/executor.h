@@ -24,6 +24,7 @@
 #include "sql/ast.h"
 #include "sql/result_set.h"
 #include "sql/row_source.h"
+#include "sql/table.h"
 
 namespace db2graph::sql {
 
@@ -104,6 +105,33 @@ class Executor {
   const std::vector<Value>* params_;
   bool skip_access_checks_ = false;
 };
+
+/// An equality/IN index probe planned against one base table: the index
+/// ChooseProbeIndex picked and, parallel to its column_indexes(), the
+/// value expressions each key column is probed with (one for `col = v`,
+/// the list for `col IN (...)`). Shared by the SELECT join stages and by
+/// UPDATE/DELETE row location, so both take the same access path for the
+/// same predicate.
+struct IndexProbe {
+  const Index* index = nullptr;
+  std::vector<std::vector<const Expr*>> values;
+};
+
+/// Plans the probe for `table` (named `alias` in the statement) from the
+/// AND-conjuncts of `preds`. A conjunct qualifies when one side is a
+/// column of `table` that does not resolve in `outer` and every value
+/// side binds in `outer` (literals and parameters always do). No index
+/// leaves `index` null.
+IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
+                          const std::vector<const Expr*>& preds,
+                          const Scope& outer);
+
+/// Evaluates the probe's keys against `outer_row` — the cartesian product
+/// of the IN lists, with duplicate keys dropped so no row matches twice —
+/// and appends every RowId the index holds for them to `rids`. Returns
+/// the number of keys looked up.
+size_t ProbeIndex(const IndexProbe& probe, const Row& outer_row,
+                  const std::vector<Value>* params, std::vector<RowId>* rids);
 
 /// Binds every expression of `stmt` against its own FROM scope and sets
 /// stmt->prebound on success (used by Database::Prepare so repeated

@@ -84,6 +84,22 @@ Value Column::Get(RowId rid) const {
   return Value::Null();
 }
 
+bool Column::Equals(RowId rid, const Value& v) const {
+  if (IsNull(rid)) return v.is_null();
+  switch (type_) {
+    case ColumnType::kBool:
+      return v.is_bool() && (bools_[rid] != 0) == v.as_bool();
+    case ColumnType::kInt:
+      if (v.is_int()) return ints_[rid] == v.as_int();
+      return v.is_double() && static_cast<double>(ints_[rid]) == v.as_double();
+    case ColumnType::kDouble:
+      return v.is_numeric() && doubles_[rid] == v.NumericValue();
+    case ColumnType::kString:
+      return v.is_string() && strings_[rid] == v.as_string();
+  }
+  return false;
+}
+
 size_t Column::ApproxBytes() const {
   size_t bytes = valid_.capacity() * sizeof(uint64_t);
   bytes += bools_.capacity() * sizeof(uint8_t);
@@ -98,8 +114,8 @@ size_t Column::ApproxBytes() const {
 // Indexes
 // ---------------------------------------------------------------------
 
-void Index::Erase(const Row& key, RowId rid) {
-  auto [begin, end] = map_.equal_range(key);
+void Index::EraseHash(size_t hash, RowId rid) {
+  auto [begin, end] = map_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     if (it->second == rid) {
       map_.erase(it);
@@ -108,18 +124,26 @@ void Index::Erase(const Row& key, RowId rid) {
   }
 }
 
-void Index::Lookup(const Row& key, std::vector<RowId>* out) const {
-  auto [begin, end] = map_.equal_range(key);
-  for (auto it = begin; it != end; ++it) out->push_back(it->second);
+bool Index::Matches(RowId rid, const Row& key) const {
+  for (size_t i = 0; i < column_indexes_.size(); ++i) {
+    if (!table_->column(column_indexes_[i]).Equals(rid, key[i])) return false;
+  }
+  return true;
 }
 
-size_t Index::ApproxBytes() const {
-  size_t bytes = 64;
-  for (const auto& [key, rid] : map_) {
-    (void)rid;
-    bytes += ApproxRowBytes(key) + sizeof(RowId) + 32;  // bucket overhead
+void Index::Lookup(const Row& key, std::vector<RowId>* out) const {
+  auto [begin, end] = map_.equal_range(RowHash{}(key));
+  for (auto it = begin; it != end; ++it) {
+    if (Matches(it->second, key)) out->push_back(it->second);
   }
-  return bytes;
+}
+
+bool Index::Contains(const Row& key) const {
+  auto [begin, end] = map_.equal_range(RowHash{}(key));
+  for (auto it = begin; it != end; ++it) {
+    if (Matches(it->second, key)) return true;
+  }
+  return false;
 }
 
 size_t EncodedValueBytes(const Value& v) {
@@ -163,14 +187,6 @@ void OrderedIndex::RangeLookup(const Value* lo, bool lo_exclusive,
     if (it->first.is_null()) continue;
     out->push_back(it->second);
   }
-}
-
-size_t ApproxRowBytes(const Row& row) {
-  size_t bytes = sizeof(Row) + row.capacity() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.is_string()) bytes += v.as_string().capacity();
-  }
-  return bytes;
 }
 
 // ---------------------------------------------------------------------
@@ -299,20 +315,30 @@ Table::ColumnStats Table::GetColumnStats(size_t column) const {
   out.ndv = EstimateNdv(state.kmv, state.kmv_saturated);
   out.min = state.min;
   out.max = state.max;
+  Gauges()[column].ndv->Set(static_cast<int64_t>(out.ndv));
   return out;
 }
 
+const std::vector<Table::ColumnGauges>& Table::Gauges() const {
+  std::call_once(gauges_once_, [this] {
+    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+    gauges_.resize(columns_.size());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const std::string prefix =
+          "sql.colstats." + schema_.name + "." + schema_.columns[c].name;
+      gauges_[c].rows = registry.GetGauge(prefix + ".rows");
+      gauges_[c].nulls = registry.GetGauge(prefix + ".nulls");
+      gauges_[c].ndv = registry.GetGauge(prefix + ".ndv");
+    }
+  });
+  return gauges_;
+}
+
 void Table::PublishColumnStats() const {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  const std::vector<ColumnGauges>& gauges = Gauges();
   for (size_t c = 0; c < columns_.size(); ++c) {
-    ColumnStats stats = GetColumnStats(c);
-    const std::string prefix =
-        "sql.colstats." + schema_.name + "." + schema_.columns[c].name;
-    registry.GetGauge(prefix + ".rows")
-        ->Set(static_cast<int64_t>(stats.row_count));
-    registry.GetGauge(prefix + ".nulls")
-        ->Set(static_cast<int64_t>(stats.null_count));
-    registry.GetGauge(prefix + ".ndv")->Set(static_cast<int64_t>(stats.ndv));
+    gauges[c].rows->Set(static_cast<int64_t>(live_count_));
+    gauges[c].nulls->Set(static_cast<int64_t>(stats_[c].null_count));
   }
 }
 
@@ -335,45 +361,50 @@ void Table::ClearSlot(RowId rid) {
 
 void Table::StatsOnInsert(const Row& row) {
   stats_version_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t c = 0; c < row.size(); ++c) {
-    StatsState& state = stats_[c];
-    if (row[c].is_null()) {
-      ++state.null_count;
-      continue;
-    }
-    if (!state.ndv_stale) SketchAdd(&state, row[c]);
-    if (state.minmax_stale) continue;  // will be rescanned anyway
-    if (state.min.is_null() || row[c] < state.min) state.min = row[c];
-    if (state.max.is_null() || row[c] > state.max) state.max = row[c];
-  }
+  for (size_t c = 0; c < row.size(); ++c) StatsAdd(c, row[c]);
 }
 
 void Table::StatsOnErase(const Row& row) {
   stats_version_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t c = 0; c < row.size(); ++c) {
-    StatsState& state = stats_[c];
-    if (row[c].is_null()) {
-      --state.null_count;
-      continue;
-    }
-    // Removing a value may drop a distinct count or tighten min/max;
-    // recompute both lazily at the next stats read.
-    state.ndv_stale = true;
-    if (!state.minmax_stale &&
-        (row[c] == state.min || row[c] == state.max)) {
-      state.minmax_stale = true;
-    }
+  for (size_t c = 0; c < row.size(); ++c) StatsRemove(c, row[c]);
+}
+
+void Table::StatsAdd(size_t column, const Value& v) {
+  StatsState& state = stats_[column];
+  if (v.is_null()) {
+    ++state.null_count;
+    return;
+  }
+  if (!state.ndv_stale) SketchAdd(&state, v);
+  if (state.minmax_stale) return;  // will be rescanned anyway
+  if (state.min.is_null() || v < state.min) state.min = v;
+  if (state.max.is_null() || v > state.max) state.max = v;
+}
+
+void Table::StatsRemove(size_t column, const Value& v) {
+  StatsState& state = stats_[column];
+  if (v.is_null()) {
+    --state.null_count;
+    return;
+  }
+  // Removing a value may drop a distinct count or tighten min/max;
+  // recompute both lazily at the next stats read.
+  state.ndv_stale = true;
+  if (!state.minmax_stale && (v == state.min || v == state.max)) {
+    state.minmax_stale = true;
   }
 }
 
-Result<RowId> Table::Insert(Row row) {
-  if (row.size() != schema_.columns.size()) {
+Status Table::CoerceRow(Row* row) const {
+  if (row->size() != schema_.columns.size()) {
     return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " does not match table " +
-        schema_.name + " arity " + std::to_string(schema_.columns.size()));
+        "row arity " + std::to_string(row->size()) +
+        " does not match table " + schema_.name + " arity " +
+        std::to_string(schema_.columns.size()));
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
+  for (size_t i = 0; i < row->size(); ++i) {
+    Value& v = (*row)[i];
+    if (v.is_null()) {
       if (schema_.columns[i].not_null) {
         return Status::ConstraintViolation("column " + schema_.columns[i].name +
                                            " of " + schema_.name +
@@ -383,23 +414,26 @@ Result<RowId> Table::Insert(Row row) {
     }
     // Coerce int literals into double columns; reject other mismatches.
     ValueType want = ColumnValueType(schema_.columns[i].type);
-    if (row[i].type() != want) {
-      if (want == ValueType::kDouble && row[i].is_int()) {
-        row[i] = Value(static_cast<double>(row[i].as_int()));
-      } else if (want == ValueType::kInt && row[i].is_double() &&
-                 row[i].as_double() ==
-                     static_cast<double>(
-                         static_cast<int64_t>(row[i].as_double()))) {
-        row[i] = Value(static_cast<int64_t>(row[i].as_double()));
-      } else {
-        return Status::InvalidArgument(
-            "type mismatch for column " + schema_.columns[i].name + " of " +
-            schema_.name + ": expected " +
-            ColumnTypeName(schema_.columns[i].type) + ", got " +
-            ValueTypeName(row[i].type()));
-      }
+    if (v.type() == want) continue;
+    if (want == ValueType::kDouble && v.is_int()) {
+      v = Value(static_cast<double>(v.as_int()));
+    } else if (want == ValueType::kInt && v.is_double() &&
+               v.as_double() ==
+                   static_cast<double>(static_cast<int64_t>(v.as_double()))) {
+      v = Value(static_cast<int64_t>(v.as_double()));
+    } else {
+      return Status::InvalidArgument(
+          "type mismatch for column " + schema_.columns[i].name + " of " +
+          schema_.name + ": expected " +
+          ColumnTypeName(schema_.columns[i].type) + ", got " +
+          ValueTypeName(v.type()));
     }
   }
+  return Status::OK();
+}
+
+Result<RowId> Table::Insert(Row row) {
+  DB2G_RETURN_NOT_OK(CoerceRow(&row));
   // Unique-index enforcement before any mutation.
   for (const auto& index : indexes_) {
     if (index->unique() && index->Contains(index->KeyFor(row))) {
@@ -444,14 +478,18 @@ Result<Row> Table::Update(RowId rid, Row new_row) {
     return Status::NotFound("row " + std::to_string(rid) + " of " +
                             schema_.name + " is not live");
   }
-  if (new_row.size() != schema_.columns.size()) {
-    return Status::InvalidArgument("update arity mismatch on " + schema_.name);
-  }
+  DB2G_RETURN_NOT_OK(CoerceRow(&new_row));
   Row before = GetRow(rid);
   IndexErase(before, rid);
-  StatsOnErase(before);
   IndexInsert(new_row, rid);
-  StatsOnInsert(new_row);
+  // Only the columns the update changed touch their statistics, so an
+  // UPDATE leaves the untouched columns' min/max and NDV fresh.
+  stats_version_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t c = 0; c < new_row.size(); ++c) {
+    if (before[c] == new_row[c]) continue;
+    StatsRemove(c, before[c]);
+    StatsAdd(c, new_row[c]);
+  }
   StoreRow(rid, std::move(new_row));
   return before;
 }
@@ -496,7 +534,7 @@ Status Table::CreateIndex(const std::string& name,
     }
     column_indexes.push_back(*idx);
   }
-  auto index = std::make_unique<Index>(name, column_indexes, unique);
+  auto index = std::make_unique<Index>(this, name, column_indexes, unique);
   for (RowId rid = 0; rid < slot_count_; ++rid) {
     if (!live_[rid]) continue;
     Row key;
@@ -563,14 +601,18 @@ const OrderedIndex* Table::FindOrderedIndexOn(size_t column_index) const {
 }
 
 void Table::IndexInsert(const Row& row, RowId rid) {
-  for (const auto& index : indexes_) index->Insert(index->KeyFor(row), rid);
+  for (const auto& index : indexes_) {
+    index->InsertHash(index->HashKeyOf(row), rid);
+  }
   for (const auto& index : ordered_indexes_) {
     index->Insert(row[index->column_index()], rid);
   }
 }
 
 void Table::IndexErase(const Row& row, RowId rid) {
-  for (const auto& index : indexes_) index->Erase(index->KeyFor(row), rid);
+  for (const auto& index : indexes_) {
+    index->EraseHash(index->HashKeyOf(row), rid);
+  }
   for (const auto& index : ordered_indexes_) {
     index->Erase(row[index->column_index()], rid);
   }

@@ -3,8 +3,8 @@
 // Column-oriented in-memory store with hash indexes. Each table holds one
 // typed vector per column (int64/double/string/bool) plus a validity
 // bitmap; rows exist only as slot numbers. Slots are stable across deletes
-// (a free list recycles them), so index postings stay valid across the
-// columnar layout exactly as they did for the row store.
+// (a free list recycles them), so index postings (key hash + slot) stay
+// valid across the columnar layout exactly as they did for the row store.
 
 #ifndef DB2GRAPH_SQL_TABLE_H_
 #define DB2GRAPH_SQL_TABLE_H_
@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "sql/schema.h"
@@ -60,6 +61,11 @@ class Column {
   /// Materializes one cell as a Value.
   Value Get(RowId rid) const;
 
+  /// True when the cell compares equal to `v` under Value::Compare (NULL
+  /// equals NULL; ints and doubles compare by value), read straight from
+  /// the typed vector without materializing the cell.
+  bool Equals(RowId rid, const Value& v) const;
+
   // Raw typed access for the vectorized kernels. Only the array matching
   // value_type() is meaningful; validity() has one bit per slot.
   const int64_t* ints() const { return ints_.data(); }
@@ -90,11 +96,19 @@ class Column {
   std::vector<uint64_t> valid_;  // validity bitmap, 64 slots per word
 };
 
-/// A hash index over one or more columns of a table.
+class Table;
+
+/// A hash index over one or more columns of a table. An entry is the key's
+/// RowHash and the RowId, nothing else: the key lives once, in the owning
+/// table's columns, and Lookup/Contains check each hash candidate's cells
+/// against the probe key. So an entry costs the same for a 64-character
+/// string key as for a BIGINT.
 class Index {
  public:
-  Index(std::string name, std::vector<size_t> column_indexes, bool unique)
-      : name_(std::move(name)),
+  Index(const Table* table, std::string name,
+        std::vector<size_t> column_indexes, bool unique)
+      : table_(table),
+        name_(std::move(name)),
         column_indexes_(std::move(column_indexes)),
         unique_(unique) {}
 
@@ -112,24 +126,42 @@ class Index {
     return key;
   }
 
-  void Insert(const Row& key, RowId rid) { map_.emplace(key, rid); }
-  void Erase(const Row& key, RowId rid);
+  void Insert(const Row& key, RowId rid) { InsertHash(RowHash{}(key), rid); }
+  /// Removes the entry of `rid` under `key`'s hash.
+  void Erase(const Row& key, RowId rid) { EraseHash(RowHash{}(key), rid); }
 
   /// All row ids whose key equals `key`.
   void Lookup(const Row& key, std::vector<RowId>* out) const;
 
-  bool Contains(const Row& key) const { return map_.count(key) > 0; }
+  bool Contains(const Row& key) const;
 
   size_t entry_count() const { return map_.size(); }
 
-  /// Approximate memory footprint, for storage accounting.
-  size_t ApproxBytes() const;
+  /// Approximate memory footprint, for storage accounting: per entry the
+  /// hash, the row id and 32 bytes of node/bucket overhead.
+  size_t ApproxBytes() const {
+    return 64 + map_.size() * (sizeof(size_t) + sizeof(RowId) + 32);
+  }
 
  private:
+  // The table maintains its indexes from full rows, hashing the key
+  // columns in place instead of extracting a key Row per write.
+  friend class Table;
+  size_t HashKeyOf(const Row& row) const {
+    size_t h = RowHash::kSeed;
+    for (size_t c : column_indexes_) h = RowHash::Mix(h, row[c]);
+    return h;
+  }
+  void InsertHash(size_t hash, RowId rid) { map_.emplace(hash, rid); }
+  void EraseHash(size_t hash, RowId rid);
+  /// True when row `rid` of the owning table holds `key`.
+  bool Matches(RowId rid, const Row& key) const;
+
+  const Table* table_;
   std::string name_;
   std::vector<size_t> column_indexes_;
   bool unique_;
-  std::unordered_multimap<Row, RowId, RowHash> map_;
+  std::unordered_multimap<size_t, RowId> map_;  // RowHash(key) -> row
 };
 
 /// A single-column ordered (B-tree-style) index supporting range scans.
@@ -209,7 +241,8 @@ class Table {
   /// min/max are NULL when the column has no non-NULL live values. The
   /// counts are always exact; min/max and ndv may require a lazy rescan
   /// after a delete/update invalidated them (handled inside the accessor,
-  /// which is safe to call from concurrent readers).
+  /// which is safe to call from concurrent readers). Each call publishes
+  /// the column's "sql.colstats.<table>.<column>.ndv" gauge.
   struct ColumnStats {
     uint64_t row_count = 0;   // live rows
     uint64_t null_count = 0;  // NULL cells among live rows
@@ -218,8 +251,10 @@ class Table {
     Value max;
   };
   ColumnStats GetColumnStats(size_t column) const;
-  /// Publishes rows/nulls/ndv gauges for every column to the global
-  /// MetricsRegistry as "sql.colstats.<table>.<column>.{rows,nulls,ndv}".
+  /// Publishes the exact rows/nulls counts of every column to the global
+  /// MetricsRegistry as "sql.colstats.<table>.<column>.{rows,nulls}" —
+  /// O(columns), no rescan: the write path calls it after every DML
+  /// statement. The ndv gauge follows GetColumnStats instead.
   void PublishColumnStats() const;
 
   /// Monotonic counter bumped on every statistics-affecting write
@@ -237,7 +272,8 @@ class Table {
   /// Deletes a live row; returns the removed image for undo logs.
   Result<Row> Delete(RowId rid);
 
-  /// Replaces a live row in place; returns the before image.
+  /// Replaces a live row in place; returns the before image. The new row
+  /// is checked and coerced exactly as Insert does.
   Result<Row> Update(RowId rid, Row new_row);
 
   /// Re-inserts a row into a specific slot (transaction undo of Delete).
@@ -289,10 +325,23 @@ class Table {
     bool ndv_stale = false;
   };
 
+  // Gauges PublishColumnStats/GetColumnStats write, resolved once.
+  struct ColumnGauges {
+    metrics::Gauge* rows = nullptr;
+    metrics::Gauge* nulls = nullptr;
+    metrics::Gauge* ndv = nullptr;
+  };
+
+  /// Checks arity and NOT NULL and coerces values to the column types
+  /// (int <-> double when exact); rejects any other type mismatch.
+  Status CoerceRow(Row* row) const;
   void IndexInsert(const Row& row, RowId rid);
   void IndexErase(const Row& row, RowId rid);
   void StatsOnInsert(const Row& row);
   void StatsOnErase(const Row& row);
+  void StatsAdd(size_t column, const Value& v);
+  void StatsRemove(size_t column, const Value& v);
+  const std::vector<ColumnGauges>& Gauges() const;
   static void SketchAdd(StatsState* state, const Value& v);
   void EnsureSlots(size_t n);
   void StoreRow(RowId rid, Row&& row);
@@ -310,13 +359,12 @@ class Table {
   /// the mutable StatsState. Writers are already exclusive via the
   /// database lock, so they skip this mutex.
   mutable std::mutex stats_mutex_;
+  mutable std::once_flag gauges_once_;
+  mutable std::vector<ColumnGauges> gauges_;
   std::atomic<uint64_t> stats_version_{0};
   std::vector<std::unique_ptr<Index>> indexes_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
 };
-
-/// Approximate in-memory size of one row's payload.
-size_t ApproxRowBytes(const Row& row);
 
 /// One equality/IN probe term extracted from a statement's conjuncts, in
 /// conjunct order: `column = <outer value>` has value_count 1, a

@@ -4,13 +4,16 @@
 // sharded vertex cache: correct results under many concurrent sessionless
 // GremlinService submits, nonzero parallel-batch/cache counters, and
 // write-epoch invalidation (a write provably flushes stale cache entries,
-// including cached negative lookups). The ConcurrentReadersAndWriter case
-// is the primary TSan target (see README "Sanitizers").
+// including cached negative lookups). The ConcurrentReadersAndWriter and
+// PreparedLookupsDuringIndexedDmlChurn cases are the primary TSan targets
+// (see README "Sanitizers").
 
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -231,6 +234,182 @@ TEST_F(ConcurrencyStressTest, ConcurrentReadersAndWriter) {
   for (std::thread& t : readers) t.join();
   writer.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Four readers run a prepared g.V(vid) while two writers churn indexed
+// UPDATE/DELETE/INSERT on the same Node_t* tables. Each writer owns half of
+// ids 1..200 (so the final state is a deterministic replay) and stamps
+// every row it writes with a fresh version k, time k*7 and data "v<k>".
+// A reader must never see a torn row (a stamp whose columns disagree, or
+// an original row that differs from the dataset) nor a row whose
+// replacement or deletion had completed before its lookup started.
+TEST_F(ConcurrencyStressTest, PreparedLookupsDuringIndexedDmlChurn) {
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 150;
+  constexpr int kWriters = 2;
+  constexpr int kWritesPerWriter = 120;
+  constexpr int64_t kIds = 200;
+  constexpr int64_t kStampBase = 1000000;  // originals have version <= 16
+  struct NodeRow {
+    int64_t version;
+    int64_t time;
+    std::string data;
+  };
+  std::map<int64_t, NodeRow> original;
+  for (const linkbench::Node& n : dataset_.nodes) {
+    original[n.id] = {n.version, n.time, n.data};
+  }
+  auto stamp = [](int64_t k) {
+    return NodeRow{k, k * 7, "v" + std::to_string(k)};
+  };
+  // Generation of a row: 0 for the dataset's rows, k for a stamped one.
+  auto generation = [&](int64_t version) {
+    return version >= kStampBase ? version : 0;
+  };
+  // Per id: the newest generation a completed write replaced or deleted,
+  // and whether a delete was ever issued.
+  std::vector<std::atomic<int64_t>> retired(kIds + 1);
+  std::vector<std::atomic<int>> deletes(kIds + 1);
+  for (int64_t id = 0; id <= kIds; ++id) {
+    retired[id].store(-1);
+    deletes[id].store(0);
+  }
+
+  Result<PreparedQuery> lookup = graph_->Prepare("g.V(vid)");
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  std::atomic<int> failures{0};
+
+  // Each writer's log of (id, row after the write; nullopt = deleted).
+  std::vector<std::vector<std::pair<int64_t, std::optional<NodeRow>>>> logs(
+      kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      std::mt19937_64 rng(7000 + w);
+      std::vector<int64_t> owned;
+      for (int64_t id = 1; id <= kIds; ++id) {
+        if ((id / 10) % 2 == w) owned.push_back(id);
+      }
+      std::map<int64_t, std::optional<NodeRow>> current;
+      for (int64_t id : owned) current[id] = original.at(id);
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        int64_t id = owned[rng() % owned.size()];
+        std::optional<NodeRow>& row = current[id];
+        const std::string table = "Node_t" + std::to_string(id % 10);
+        const int64_t k = kStampBase + w * 100000 + i;
+        const NodeRow next = stamp(k);
+        const std::string values = std::to_string(next.version) + ", " +
+                                   std::to_string(next.time) + ", '" +
+                                   next.data + "'";
+        std::string sql;
+        std::optional<NodeRow> after;
+        if (!row.has_value()) {
+          sql = "INSERT INTO " + table + " VALUES (" + std::to_string(id) +
+                ", " + values + ")";
+          after = next;
+        } else if (rng() % 3 != 0) {
+          sql = "UPDATE " + table + " SET version = " +
+                std::to_string(next.version) +
+                ", time = " + std::to_string(next.time) + ", data = '" +
+                next.data + "' WHERE id = " + std::to_string(id);
+          after = next;
+        } else {
+          deletes[id].fetch_add(1);
+          sql = "DELETE FROM " + table + " WHERE id = " + std::to_string(id);
+        }
+        Result<sql::ResultSet> r = db_.Execute(sql);
+        if (!r.ok() || r->affected != 1) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (row.has_value()) retired[id].store(generation(row->version));
+        row = after;
+        logs[w].emplace_back(id, after);
+      }
+    });
+  }
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(8000 + r);
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        const int64_t id = 1 + static_cast<int64_t>(rng() % kIds);
+        const int64_t floor = retired[id].load();
+        Result<std::vector<Traverser>> out =
+            lookup->Execute(gremlin::Environment{{"vid", {Value(id)}}});
+        if (!out.ok() || out->size() > 1) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (out->empty()) {
+          // Only a deleted id may be missing.
+          if (deletes[id].load() == 0) failures.fetch_add(1);
+          continue;
+        }
+        const gremlin::Vertex& v = *(*out)[0].vertex;
+        const Value* version = v.FindProperty("version");
+        const Value* time = v.FindProperty("time");
+        const Value* data = v.FindProperty("data");
+        if (v.id != Value(id) || version == nullptr || time == nullptr ||
+            data == nullptr || !version->is_int()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const int64_t gen = generation(version->as_int());
+        const NodeRow want = gen == 0 ? original.at(id) : stamp(gen);
+        const bool torn = *version != Value(want.version) ||
+                          *time != Value(want.time) ||
+                          *data != Value(want.data);
+        if (torn || gen <= floor) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // The tables equal the dataset with both writers' logs replayed serially
+  // (their ids are disjoint, so any interleaving gives the same state).
+  std::map<int64_t, NodeRow> expected = original;
+  for (const auto& log : logs) {
+    for (const auto& [id, after] : log) {
+      if (after.has_value()) {
+        expected[id] = *after;
+      } else {
+        expected.erase(id);
+      }
+    }
+  }
+  std::map<int64_t, NodeRow> actual;
+  for (int t = 0; t < 10; ++t) {
+    Result<sql::ResultSet> rs = db_.Execute(
+        "SELECT id, version, time, data FROM Node_t" + std::to_string(t));
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    for (const Row& row : rs->rows) {
+      actual[row[0].as_int()] = {row[1].as_int(), row[2].as_int(),
+                                 row[3].as_string()};
+    }
+    // Every stamped id is still reachable through the primary key.
+    for (const auto& [id, node] : expected) {
+      if (id % 10 != t || node.version < kStampBase) continue;
+      Result<sql::ResultSet> probe =
+          db_.Execute("SELECT version FROM Node_t" + std::to_string(t) +
+                      " WHERE id = " + std::to_string(id));
+      ASSERT_TRUE(probe.ok());
+      ASSERT_EQ(probe->rows.size(), 1u) << id;
+      EXPECT_EQ(probe->rows[0][0], Value(node.version));
+      EXPECT_EQ(probe->exec.full_scans, 0u);
+    }
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [id, node] : expected) {
+    auto it = actual.find(id);
+    ASSERT_NE(it, actual.end()) << id;
+    EXPECT_EQ(it->second.version, node.version) << id;
+    EXPECT_EQ(it->second.time, node.time) << id;
+    EXPECT_EQ(it->second.data, node.data) << id;
+  }
 }
 
 }  // namespace

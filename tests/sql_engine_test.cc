@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "common/metrics.h"
 #include "sql/database.h"
 #include "sql/parser.h"
@@ -669,6 +672,286 @@ TEST_F(SqlEngineTest, OrderedIndexBytesTrackActualKeyWidths) {
   ASSERT_TRUE(db_.Execute("DELETE FROM Keys WHERE id = 2").ok());
   EXPECT_EQ(long_index->key_bytes(), 32u + 2);
   EXPECT_LT(long_index->ApproxBytes(), before);
+}
+
+// Hash-index entries hold only the key hash and the row id; every check
+// that used to compare stored key copies now reads the table's cells.
+TEST_F(SqlEngineTest, KeyFreeIndexStillEnforcesUniqueAndForeignKeys) {
+  // Single-row INSERT against the primary key.
+  EXPECT_EQ(db_.Execute("INSERT INTO Patient VALUES (2, 'Dup', 'x', 1)")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  // Multi-row INSERT: the second row collides with the first.
+  EXPECT_EQ(db_.Execute("INSERT INTO Disease VALUES (20, 'a', 'b'), "
+                        "(20, 'c', 'd')")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(Query("SELECT COUNT(*) FROM Disease WHERE diseaseID = 20")
+                .rows[0][0],
+            Value(int64_t{1}));
+  // A string-keyed unique index rejects duplicates, including on build.
+  ASSERT_TRUE(db_.Execute("CREATE UNIQUE INDEX u_code ON Disease "
+                          "(conceptCode)")
+                  .ok());
+  EXPECT_EQ(db_.Execute("INSERT INTO Disease VALUES (21, 'D10', 'dup')")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db_.Execute("CREATE UNIQUE INDEX u_sub ON HasDisease "
+                        "(diseaseID)")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  // A composite unique index sees a collision only on the whole key.
+  ASSERT_TRUE(db_.Execute("CREATE UNIQUE INDEX u_pd ON HasDisease "
+                          "(patientID, diseaseID)")
+                  .ok());
+  EXPECT_TRUE(db_.Execute("INSERT INTO HasDisease VALUES (1, 12, 'x')").ok());
+  EXPECT_EQ(db_.Execute("INSERT INTO HasDisease VALUES (1, 12, 'y')")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  // Foreign keys probe the referenced primary key with Contains: a moved
+  // key is found under its new value only.
+  ASSERT_TRUE(
+      db_.Execute("UPDATE Patient SET patientID = 9 WHERE patientID = 3").ok());
+  EXPECT_EQ(db_.Execute("INSERT INTO HasDisease VALUES (3, 10, 'gone')")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_TRUE(db_.Execute("INSERT INTO HasDisease VALUES (9, 10, 'moved')")
+                  .ok());
+}
+
+TEST_F(SqlEngineTest, KeyFreeIndexReturnsExactRowsAfterChurn) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE Churn (id BIGINT PRIMARY KEY, s VARCHAR(16), n BIGINT,
+                          d DOUBLE);
+      CREATE INDEX i_s ON Churn (s);
+      CREATE INDEX i_n ON Churn (n);
+      CREATE INDEX i_sn ON Churn (s, n);
+    )sql")
+                  .ok());
+  Table* table = db_.GetTable("Churn");
+  ASSERT_NE(table, nullptr);
+  const size_t s_col = 1;
+  const size_t n_col = 2;
+  const Index* by_s = table->FindIndexOn({s_col});
+  const Index* by_n = table->FindIndexOn({n_col});
+  const Index* by_sn = table->FindIndexOn({s_col, n_col});
+  ASSERT_NE(by_s, nullptr);
+  ASSERT_NE(by_n, nullptr);
+  ASSERT_NE(by_sn, nullptr);
+  ASSERT_EQ(by_sn->column_indexes(), (std::vector<size_t>{s_col, n_col}));
+
+  std::mt19937_64 rng(7);
+  auto pick_s = [&]() -> std::string {
+    int k = static_cast<int>(rng() % 6);
+    return k == 5 ? "NULL" : "'k" + std::to_string(k) + "'";
+  };
+  auto pick_n = [&]() -> std::string {
+    int k = static_cast<int>(rng() % 5);
+    return k == 4 ? "NULL" : std::to_string(k);
+  };
+  int64_t next_id = 0;
+  for (; next_id < 60; ++next_id) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO Churn VALUES (" +
+                            std::to_string(next_id) + ", " + pick_s() + ", " +
+                            pick_n() + ", 1.5)")
+                    .ok());
+  }
+  // Brute force: live rows whose cells compare equal to `key`, which is
+  // what an index lookup promises (NULL matches NULL; 2.0 matches 2).
+  auto expected = [&](const std::vector<size_t>& cols, const Row& key) {
+    std::vector<RowId> rids;
+    for (RowId rid = 0; rid < table->slot_count(); ++rid) {
+      if (!table->IsLive(rid)) continue;
+      bool match = true;
+      for (size_t i = 0; i < cols.size(); ++i) {
+        match &= table->ValueAt(rid, cols[i]) == key[i];
+      }
+      if (match) rids.push_back(rid);
+    }
+    return rids;
+  };
+  auto lookup = [](const Index* index, const Row& key) {
+    std::vector<RowId> rids;
+    index->Lookup(key, &rids);
+    std::sort(rids.begin(), rids.end());
+    return rids;
+  };
+  std::vector<Value> s_keys = {Value("k0"), Value("k1"), Value("k4"),
+                               Value("nope"), Value::Null()};
+  std::vector<Value> n_keys = {Value(int64_t{0}), Value(2.0), Value(3.5),
+                               Value::Null()};
+  for (int round = 0; round < 40; ++round) {
+    switch (rng() % 4) {
+      case 0:
+        ASSERT_TRUE(db_.Execute("UPDATE Churn SET s = " + pick_s() +
+                                " WHERE n = " + pick_n())
+                        .ok());
+        break;
+      case 1:
+        ASSERT_TRUE(db_.Execute("UPDATE Churn SET n = " + pick_n() +
+                                " WHERE s = " + pick_s())
+                        .ok());
+        break;
+      case 2:
+        ASSERT_TRUE(db_.Execute("DELETE FROM Churn WHERE id = " +
+                                std::to_string(rng() % next_id))
+                        .ok());
+        break;
+      default:
+        ASSERT_TRUE(db_.Execute("INSERT INTO Churn VALUES (" +
+                                std::to_string(next_id++) + ", " + pick_s() +
+                                ", " + pick_n() + ", 2.5)")
+                        .ok());
+        break;
+    }
+    for (const Value& s : s_keys) {
+      EXPECT_EQ(lookup(by_s, {s}), expected({s_col}, {s})) << round;
+      EXPECT_EQ(by_s->Contains({s}), !expected({s_col}, {s}).empty());
+      for (const Value& n : n_keys) {
+        EXPECT_EQ(lookup(by_sn, {s, n}), expected({s_col, n_col}, {s, n}))
+            << round;
+      }
+    }
+    for (const Value& n : n_keys) {
+      EXPECT_EQ(lookup(by_n, {n}), expected({n_col}, {n})) << round;
+    }
+    EXPECT_EQ(by_s->entry_count(), table->row_count());
+    EXPECT_EQ(by_sn->entry_count(), table->row_count());
+  }
+}
+
+TEST_F(SqlEngineTest, KeyFreeIndexEntryBytesIgnoreKeyWidth) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE WideKeys (k VARCHAR(64));
+      CREATE TABLE IntKeys (k BIGINT);
+      CREATE INDEX i_wide ON WideKeys (k);
+      CREATE INDEX i_int ON IntKeys (k);
+    )sql")
+                  .ok());
+  for (int i = 0; i < 50; ++i) {
+    std::string wide = std::to_string(i);
+    wide = std::string(64 - wide.size(), 'w') + wide;
+    ASSERT_EQ(wide.size(), 64u);
+    ASSERT_TRUE(
+        db_.Execute("INSERT INTO WideKeys VALUES ('" + wide + "')").ok());
+    ASSERT_TRUE(
+        db_.Execute("INSERT INTO IntKeys VALUES (" + std::to_string(i) + ")")
+            .ok());
+  }
+  const Index* wide = db_.GetTable("WideKeys")->indexes().front().get();
+  const Index* narrow = db_.GetTable("IntKeys")->indexes().front().get();
+  ASSERT_EQ(wide->entry_count(), 50u);
+  EXPECT_EQ(wide->ApproxBytes(), narrow->ApproxBytes());
+  EXPECT_EQ(wide->ApproxBytes(),
+            64 + 50 * (sizeof(size_t) + sizeof(RowId) + 32));
+}
+
+// Writes keep the counts exact and leave min/max/NDV to the next stats
+// read, which rescans whatever a delete or update invalidated.
+TEST_F(SqlEngineTest, ColumnStatsStayExactAcrossUpdatesAndDeletes) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE Fresh (id BIGINT PRIMARY KEY, "
+                          "v BIGINT, s VARCHAR(8))")
+                  .ok());
+  for (int i = 0; i < 40; ++i) {
+    std::string v = i % 7 == 0 ? "NULL" : std::to_string(i % 13);
+    ASSERT_TRUE(db_.Execute("INSERT INTO Fresh VALUES (" + std::to_string(i) +
+                            ", " + v + ", 's" + std::to_string(i % 5) + "')")
+                    .ok());
+  }
+  std::mt19937_64 rng(11);
+  for (int op = 0; op < 30; ++op) {
+    std::string id = std::to_string(rng() % 40);
+    std::string sql;
+    switch (rng() % 3) {
+      case 0:
+        sql = "UPDATE Fresh SET v = " + std::to_string(rng() % 50) +
+              " WHERE id = " + id;
+        break;
+      case 1:
+        sql = "UPDATE Fresh SET v = NULL, s = 'z' WHERE id = " + id;
+        break;
+      default:
+        sql = "DELETE FROM Fresh WHERE id = " + id;
+        break;
+    }
+    ResultSet rs = Query(sql);
+    EXPECT_EQ(rs.exec.full_scans, 0u) << sql;
+  }
+  const Table* table = db_.GetTable("Fresh");
+  ASSERT_NE(table, nullptr);
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  for (size_t c = 0; c < table->column_count(); ++c) {
+    const std::string& name = table->schema().columns[c].name;
+    ResultSet values = Query("SELECT " + name + " FROM Fresh");
+    std::set<Value> distinct;
+    uint64_t nulls = 0;
+    for (const Row& row : values.rows) {
+      if (row[0].is_null()) {
+        ++nulls;
+      } else {
+        distinct.insert(row[0]);
+      }
+    }
+    // The write path published exact counts without a stats read.
+    const std::string prefix = "sql.colstats.Fresh." + name;
+    EXPECT_EQ(registry.GetGauge(prefix + ".rows")->Value(),
+              static_cast<int64_t>(values.rows.size()));
+    EXPECT_EQ(registry.GetGauge(prefix + ".nulls")->Value(),
+              static_cast<int64_t>(nulls));
+
+    Table::ColumnStats stats = table->GetColumnStats(c);
+    EXPECT_EQ(stats.row_count, values.rows.size()) << name;
+    EXPECT_EQ(stats.null_count, nulls) << name;
+    EXPECT_EQ(stats.ndv, distinct.size()) << name;  // exact below 256
+    ASSERT_FALSE(distinct.empty());
+    EXPECT_EQ(stats.min, *distinct.begin()) << name;
+    EXPECT_EQ(stats.max, *distinct.rbegin()) << name;
+    // The stats read published the NDV it computed.
+    EXPECT_EQ(registry.GetGauge(prefix + ".ndv")->Value(),
+              static_cast<int64_t>(distinct.size()));
+
+    ResultSet sysmon = Query(
+        "SELECT rows, nulls, ndv, min, max FROM sysmon.column_stats "
+        "WHERE table_name = 'Fresh' AND column_name = '" + name + "'");
+    ASSERT_EQ(sysmon.rows.size(), 1u);
+    EXPECT_EQ(sysmon.rows[0][0],
+              Value(static_cast<int64_t>(values.rows.size())));
+    EXPECT_EQ(sysmon.rows[0][1], Value(static_cast<int64_t>(nulls)));
+    EXPECT_EQ(sysmon.rows[0][2],
+              Value(static_cast<int64_t>(distinct.size())));
+    EXPECT_EQ(sysmon.rows[0][3], Value(distinct.begin()->ToString()));
+    EXPECT_EQ(sysmon.rows[0][4], Value(distinct.rbegin()->ToString()));
+  }
+}
+
+TEST_F(SqlEngineTest, UpdateCoercesAndChecksLikeInsert) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE Typed (id BIGINT PRIMARY KEY, "
+                          "d DOUBLE, n BIGINT NOT NULL)")
+                  .ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO Typed VALUES (1, 1, 1)").ok());
+  ASSERT_TRUE(db_.Execute("UPDATE Typed SET d = 4, n = 6.0 WHERE id = 1").ok());
+  ResultSet rs = Query("SELECT d, n FROM Typed WHERE id = 1");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_TRUE(rs.rows[0][0].is_double());
+  EXPECT_EQ(rs.rows[0][0], Value(4.0));
+  EXPECT_TRUE(rs.rows[0][1].is_int());
+  EXPECT_EQ(rs.rows[0][1], Value(int64_t{6}));
+  EXPECT_EQ(db_.Execute("UPDATE Typed SET n = NULL WHERE id = 1")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db_.Execute("UPDATE Typed SET n = 'x' WHERE id = 1")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Query("SELECT n FROM Typed WHERE id = 1").rows[0][0],
+            Value(int64_t{6}));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,6 +72,34 @@ TEST_F(SysmonTest, QueryLogReturnsRecentExecutions) {
   ASSERT_NE(select_row, nullptr);
   EXPECT_EQ((*select_row)[3], Value(int64_t{4}));  // rows_scanned
   EXPECT_EQ((*select_row)[4], Value(int64_t{2}));  // rows_emitted
+}
+
+TEST_F(SysmonTest, QueryLogNamesTheAccessPathOfDml) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE notes (id BIGINT, body VARCHAR(20))")
+                  .ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO notes VALUES (1, 'a'), (2, 'b')").ok());
+  // items has a primary key on id; notes has no index at all.
+  Run("UPDATE items SET price = 11 WHERE id = 1");
+  Run("UPDATE notes SET body = 'c' WHERE id = 2");
+  Run("DELETE FROM items WHERE id IN (2, 3)");
+  Run("DELETE FROM notes WHERE id = 1");
+  ResultSet rs = Run(
+      "SELECT script, access_path, rows_scanned, rows_emitted "
+      "FROM sysmon.query_log WHERE layer = 'sql' AND "
+      "(script LIKE 'UPDATE%' OR script LIKE 'DELETE%')");
+  ASSERT_EQ(rs.rows.size(), 4u);
+  std::map<std::string, const Row*> by_script;
+  for (const Row& row : rs.rows) by_script[row[0].as_string()] = &row;
+  const Row& update_items = *by_script.at("UPDATE items");
+  EXPECT_EQ(update_items[1], Value("index"));
+  EXPECT_EQ(update_items[2], Value(int64_t{1}));  // one candidate row
+  EXPECT_EQ(update_items[3], Value(int64_t{1}));
+  EXPECT_EQ((*by_script.at("DELETE FROM items"))[1], Value("index"));
+  EXPECT_EQ((*by_script.at("DELETE FROM items"))[2], Value(int64_t{2}));
+  const Row& update_notes = *by_script.at("UPDATE notes");
+  EXPECT_EQ(update_notes[1], Value("scan"));
+  EXPECT_EQ(update_notes[2], Value(int64_t{2}));  // every live row
+  EXPECT_EQ((*by_script.at("DELETE FROM notes"))[1], Value("scan"));
 }
 
 TEST_F(SysmonTest, QueryLogRecordsErrors) {
