@@ -8,14 +8,16 @@
 // Janus-like store on its KV latch.
 //
 // This binary also runs a Db2Graph-only ablation of the runtime lookup
-// optimizations (parallel multi-table fan-out and the sharded vertex
-// cache) on the partitioned overlay with PLAIN integer ids — the layout
-// where every g.V(id) must consult all 10 vertex tables, so both knobs
-// have real work to do. Results land in BENCH_fig6.json. Environment:
+// optimizations (the sharded vertex cache, and the per-call dop that
+// decides whether a multi-table lookup fans its per-table SQL out across
+// the shared pool) on the partitioned overlay with PLAIN integer ids —
+// the layout where every g.V(id) must consult all 10 vertex tables, so
+// both knobs have real work to do. Results land in BENCH_fig6.json.
+// Environment:
 //   DB2G_FIG6_CLIENTS        client threads for the ablation (default 8)
-//   DB2G_FIG6_QPC            queries per client per query type (default 200)
+//   DB2G_FIG6_QPC            queries per client (default 800)
 //   DB2G_FIG6_CACHE=0|1      restrict the mode grid to one cache setting
-//   DB2G_FIG6_FANOUT=0|1     restrict the mode grid to one fan-out setting
+//   DB2G_FIG6_DOP=1|4        restrict the mode grid to one per-call dop
 //   DB2G_FIG6_SKIP_SYSTEMS=1 skip the heavy three-system comparison
 //   DB2G_FIG6_SKIP_ABLATION=1 skip the ablation section
 
@@ -134,11 +136,13 @@ void RunScale(const db2graph::linkbench::Config& config, const char* label,
   std::printf("\n");
 }
 
-// --- Ablation: parallel fan-out x vertex cache -------------------------
+// --- Ablation: per-call dop x vertex cache -----------------------------
+
+constexpr int kAblationDops[] = {1, 4};
 
 struct AblationMode {
   bool cache;
-  bool fanout;
+  int dop;  // per-call ExecConfig parallelism; > 1 fans lookups out
 };
 
 struct AblationResult {
@@ -200,7 +204,7 @@ std::string NextAblationQuery(const db2graph::linkbench::Dataset& dataset,
   return roll < 90 ? base + ".count()" : base;
 }
 
-// Measures one (cache, fanout) configuration over a fresh Db2Graph opened
+// Measures one (cache, dop) configuration over a fresh Db2Graph opened
 // on the shared database. The query lists are generated once by the
 // caller, so every mode answers the identical Zipfian workload.
 AblationResult MeasureAblationMode(
@@ -209,11 +213,12 @@ AblationResult MeasureAblationMode(
     AblationMode mode) {
   db2graph::core::Db2Graph::Options options;
   options.runtime.vertex_cache = mode.cache;
-  options.runtime.parallel_fanout = mode.fanout;
   auto graph = db2graph::core::Db2Graph::Open(db, conf, options);
   if (!graph.ok()) std::abort();
+  db2graph::core::ExecOptions call;
+  call.config = db2graph::ExecConfig().parallelism(mode.dop);
   auto run = [&](const std::string& q) {
-    auto out = (*graph)->Execute(q);
+    auto out = (*graph)->Execute(q, call);
     if (!out.ok()) {
       std::fprintf(stderr, "ablation error: %s\n",
                    out.status().ToString().c_str());
@@ -243,8 +248,8 @@ void RunAblation() {
   const int queries_per_client = EnvInt("DB2G_FIG6_QPC", 800);
 
   // Plain integer ids: no prefix to pin a vertex table, so every untyped
-  // g.V(id) fans out across all 10 Node_t* tables — the worst-case lookup
-  // the cache and the parallel fan-out exist for.
+  // g.V(id) consults all 10 Node_t* tables — the worst-case lookup the
+  // cache and the dop-governed fan-out exist for.
   auto config = db2graph::linkbench::Config::Small();
   std::fprintf(stderr, "[setup] generating LB-small (ablation)...\n");
   auto dataset = db2graph::linkbench::GeneratePartitioned(config);
@@ -268,18 +273,15 @@ void RunAblation() {
 
   std::vector<AblationMode> grid;
   const char* cache_env = std::getenv("DB2G_FIG6_CACHE");
-  const char* fanout_env = std::getenv("DB2G_FIG6_FANOUT");
+  const int only_dop = EnvInt("DB2G_FIG6_DOP", 0);
   for (bool cache : {false, true}) {
     if (cache_env != nullptr && *cache_env != '\0' &&
         cache != (cache_env[0] == '1')) {
       continue;
     }
-    for (bool fanout : {false, true}) {
-      if (fanout_env != nullptr && *fanout_env != '\0' &&
-          fanout != (fanout_env[0] == '1')) {
-        continue;
-      }
-      grid.push_back({cache, fanout});
+    for (int dop : kAblationDops) {
+      if (only_dop != 0 && dop != only_dop) continue;
+      grid.push_back({cache, dop});
     }
   }
 
@@ -294,8 +296,8 @@ void RunAblation() {
   std::vector<AblationResult> results;
   for (AblationMode mode : grid) {
     AblationResult r = MeasureAblationMode(&db, overlay, per_client, mode);
-    std::printf("cache=%-3s fanout=%-3s   %12.0f %12llu %12llu %12llu\n",
-                mode.cache ? "on" : "off", mode.fanout ? "on" : "off",
+    std::printf("cache=%-3s dop=%-6d   %12.0f %12llu %12llu %12llu\n",
+                mode.cache ? "on" : "off", mode.dop,
                 r.overall_qps, (unsigned long long)r.cache_hits,
                 (unsigned long long)r.cache_misses,
                 (unsigned long long)r.parallel_batches);
@@ -311,12 +313,12 @@ void RunAblation() {
   doc.Set("mix", Json::Str("60% g.V(id), 15% g.V(id).hasLabel, "
                            "15% outE.count, 10% outE"));
   Json modes = Json::Array();
-  const AblationResult* off_off = nullptr;
-  const AblationResult* on_on = nullptr;
+  const AblationResult* cache_off = nullptr;
+  const AblationResult* cache_on = nullptr;
   for (const AblationResult& r : results) {
     Json m = Json::Object();
     m.Set("vertex_cache", Json::Bool(r.mode.cache));
-    m.Set("parallel_fanout", Json::Bool(r.mode.fanout));
+    m.Set("dop", Json::Number(r.mode.dop));
     m.Set("overall_qps", Json::Number(r.overall_qps));
     m.Set("cache_hits", Json::Number(static_cast<double>(r.cache_hits)));
     m.Set("cache_misses", Json::Number(static_cast<double>(r.cache_misses)));
@@ -325,14 +327,14 @@ void RunAblation() {
     m.Set("parallel_tasks",
           Json::Number(static_cast<double>(r.parallel_tasks)));
     modes.Append(std::move(m));
-    if (!r.mode.cache && !r.mode.fanout) off_off = &r;
-    if (r.mode.cache && r.mode.fanout) on_on = &r;
+    if (r.mode.dop == 1) (r.mode.cache ? cache_on : cache_off) = &r;
   }
   doc.Set("modes", std::move(modes));
-  if (off_off != nullptr && on_on != nullptr && off_off->overall_qps > 0) {
-    double speedup = on_on->overall_qps / off_off->overall_qps;
-    doc.Set("speedup_on_vs_off", Json::Number(speedup));
-    std::printf("Speedup (cache+fanout on vs both off): %.2fx overall\n",
+  if (cache_off != nullptr && cache_on != nullptr &&
+      cache_off->overall_qps > 0) {
+    double speedup = cache_on->overall_qps / cache_off->overall_qps;
+    doc.Set("cache_speedup_at_dop1", Json::Number(speedup));
+    std::printf("Speedup (cache on vs off, dop 1): %.2fx overall\n",
                 speedup);
   }
   std::ofstream out("BENCH_fig6.json");

@@ -63,13 +63,18 @@
 //     degenerate into measuring the same path twice. Results land in
 //     BENCH_multihop.json.
 //
-// All comparisons interleave their modes across rounds and take each
-// mode's best round to damp scheduler noise on small CI machines.
+// All comparisons interleave their modes across rounds. The tighter
+// floors (monitoring 0.90x, governor 0.95x, dop-1 0.95x, dop-4 1.8x) gate
+// on the median of kGateRounds short rounds' ratios (see GateRounds), so
+// one noisy stretch on a shared machine cannot decide them; the others
+// take each mode's best round.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -211,6 +216,61 @@ double RunTextMixSlice(Db2Graph* graph, int queries, int base, int id_range,
       std::chrono::steady_clock::now() - start;
   stats->parse_calls += ParseCalls() - parses_before;
   return elapsed.count();
+}
+
+// Short rounds the median-gated comparisons run: odd, so the median is
+// one round's own ratio. Each round interleaves its modes chunk by chunk,
+// so load that comes and goes within a round lands on every mode.
+constexpr int kGateRounds = 15;
+constexpr int kGateChunks = 6;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Runs kGateRounds rounds of kGateChunks chunks; each chunk calls
+// `run(mode, chunk)` (returning seconds) once per mode, with `chunk`
+// numbering chunks across rounds. The order rotates which mode goes
+// first and alternates direction, so every mode follows every other
+// equally often. Returns each mode's summed seconds per round:
+// result[round][mode].
+std::vector<std::vector<double>> GateRounds(
+    int modes, const std::function<double(int, int)>& run) {
+  std::vector<std::vector<double>> secs(kGateRounds,
+                                        std::vector<double>(modes));
+  for (int round = 0; round < kGateRounds; ++round) {
+    for (int c = 0; c < kGateChunks; ++c) {
+      int chunk = round * kGateChunks + c;
+      int step = chunk / modes % 2 == 0 ? 1 : modes - 1;
+      for (int k = 0; k < modes; ++k) {
+        int mode = (chunk + k * step) % modes;
+        secs[round][mode] += run(mode, chunk);
+      }
+    }
+  }
+  return secs;
+}
+
+// The median over rounds of secs[round][base] / secs[round][other]: the
+// `other` mode's throughput relative to the `base` one's.
+double MedianRatio(const std::vector<std::vector<double>>& secs, int base,
+                   int other) {
+  std::vector<double> ratios;
+  for (const std::vector<double>& round : secs) {
+    ratios.push_back(round[base] / round[other]);
+  }
+  return Median(std::move(ratios));
+}
+
+// The median over rounds of `queries` / secs[round][mode].
+double MedianQps(const std::vector<std::vector<double>>& secs, int mode,
+                 int queries) {
+  std::vector<double> qps;
+  for (const std::vector<double>& round : secs) {
+    qps.push_back(queries / round[mode]);
+  }
+  return Median(std::move(qps));
 }
 
 // ---- Vectorized-vs-scalar SQL workload. ----
@@ -592,39 +652,34 @@ int main() {
   set_instrumentation(true);
   RunSqlMixSlice(&vec_db, 5, 0);
 
-  double plain_best = 0;
-  double instrumented_best = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    double plain_secs = 0;
-    double inst_secs = 0;
-    for (int slice = 0; slice < kVecSlices; ++slice) {
-      int base = slice * kVecSliceQueries;
-      set_instrumentation(false);
-      plain_secs += RunSqlMixSlice(&vec_db, kVecSliceQueries, base);
-      set_instrumentation(true);
-      inst_secs += RunSqlMixSlice(&vec_db, kVecSliceQueries, base);
-    }
-    if (kVecQueries / plain_secs > plain_best)
-      plain_best = kVecQueries / plain_secs;
-    if (kVecQueries / inst_secs > instrumented_best)
-      instrumented_best = kVecQueries / inst_secs;
-  }
+  // Modes: 0 plain, 1 instrumented; the gate is the median round's
+  // instrumented/plain throughput ratio.
+  constexpr int kGateSqlChunk = 5;  // one pass of the five-query mix
+  const std::vector<std::vector<double>> obs_secs =
+      GateRounds(2, [&](int mode, int chunk) {
+        set_instrumentation(mode == 1);
+        return RunSqlMixSlice(&vec_db, kGateSqlChunk, chunk * kGateSqlChunk);
+      });
   vec_db.SetExecConfig(vec_db.exec_config().profile(false));
   qlog.SetEnabled(qlog_was_enabled);
 
-  double obs_ratio = instrumented_best / plain_best;
+  constexpr int kGateSqlRound = kGateSqlChunk * kGateChunks;
+  const double plain_median = MedianQps(obs_secs, 0, kGateSqlRound);
+  const double instrumented_median = MedianQps(obs_secs, 1, kGateSqlRound);
+  const double obs_ratio = MedianRatio(obs_secs, 0, 1);
   std::printf("bench_observability: plain=%.0f q/s instrumented=%.0f q/s "
-              "ratio=%.2f (floor %.2f)\n",
-              plain_best, instrumented_best, obs_ratio, kObsFloor);
+              "ratio=%.2f (floor %.2f, median of %d rounds)\n",
+              plain_median, instrumented_median, obs_ratio, kObsFloor,
+              kGateRounds);
 
   {
     std::ofstream json("BENCH_observability.json");
     json << "{\n"
          << "  \"table_rows\": 100000,\n"
-         << "  \"mix_queries\": " << kVecQueries << ",\n"
-         << "  \"rounds\": " << kRounds << ",\n"
-         << "  \"plain_qps\": " << plain_best << ",\n"
-         << "  \"instrumented_qps\": " << instrumented_best << ",\n"
+         << "  \"mix_queries_per_round\": " << kGateSqlRound << ",\n"
+         << "  \"rounds\": " << kGateRounds << ",\n"
+         << "  \"plain_qps\": " << plain_median << ",\n"
+         << "  \"instrumented_qps\": " << instrumented_median << ",\n"
          << "  \"ratio\": " << obs_ratio << ",\n"
          << "  \"floor\": " << kObsFloor << "\n"
          << "}\n";
@@ -801,34 +856,32 @@ int main() {
     std::fprintf(stderr, "FAIL: the governed limit mix did not stream\n");
     return 1;
   }
-  double ungoverned_best = 0;
-  double governed_best = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    double u = 0;
-    double g = 0;
-    for (int slice = 0; slice < kStreamSlices; ++slice) {
-      int base = slice * kStreamSliceQueries;
-      u += RunMixSlice(streaming->get(), LimitMixQuery, kStreamSliceQueries,
-                       base);
-      g += RunMixSlice(streaming->get(), LimitMixQuery, kStreamSliceQueries,
-                       base, governed_options);
-    }
-    if (kStreamQueries / u > ungoverned_best)
-      ungoverned_best = kStreamQueries / u;
-    if (kStreamQueries / g > governed_best) governed_best = kStreamQueries / g;
-  }
-  double governor_ratio = governed_best / ungoverned_best;
+  // Modes: 0 ungoverned, 1 governed; the gate is the median round's
+  // governed/ungoverned throughput ratio.
+  constexpr int kGateStreamChunk = 10;
+  constexpr int kGateStreamRound = kGateStreamChunk * kGateChunks;
+  const std::vector<std::vector<double>> governor_secs =
+      GateRounds(2, [&](int mode, int chunk) {
+        return RunMixSlice(streaming->get(), LimitMixQuery, kGateStreamChunk,
+                           chunk * kGateStreamChunk,
+                           mode == 0 ? ExecOptions() : governed_options);
+      });
+  const double ungoverned_median =
+      MedianQps(governor_secs, 0, kGateStreamRound);
+  const double governed_median = MedianQps(governor_secs, 1, kGateStreamRound);
+  const double governor_ratio = MedianRatio(governor_secs, 0, 1);
   std::printf(
-      "bench_governor: ungoverned=%.0f q/s governed=%.0f q/s ratio=%.2f\n",
-      ungoverned_best, governed_best, governor_ratio);
+      "bench_governor: ungoverned=%.0f q/s governed=%.0f q/s ratio=%.2f "
+      "(median of %d rounds)\n",
+      ungoverned_median, governed_median, governor_ratio, kGateRounds);
 
   {
     std::ofstream json("BENCH_governor.json");
     json << "{\n"
-         << "  \"queries\": " << kStreamQueries << ",\n"
-         << "  \"rounds\": " << kRounds << ",\n"
-         << "  \"ungoverned_qps\": " << ungoverned_best << ",\n"
-         << "  \"governed_qps\": " << governed_best << ",\n"
+         << "  \"queries_per_round\": " << kGateStreamRound << ",\n"
+         << "  \"rounds\": " << kGateRounds << ",\n"
+         << "  \"ungoverned_qps\": " << ungoverned_median << ",\n"
+         << "  \"governed_qps\": " << governed_median << ",\n"
          << "  \"governed_ratio\": " << governor_ratio << "\n"
          << "}\n";
   }
@@ -863,27 +916,19 @@ int main() {
   run_sql_at(dop1_cfg, 5, 0);
   run_sql_at(dop4_cfg, 5, 0);
 
-  double par_serial_best = 0;
-  double par_dop1_best = 0;
-  double par_dop4_best = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    double serial_secs = 0;
-    double dop1_secs = 0;
-    double dop4_secs = 0;
-    for (int slice = 0; slice < kVecSlices; ++slice) {
-      int base = slice * kVecSliceQueries;
-      serial_secs += run_sql_at(serial_cfg, kVecSliceQueries, base);
-      dop1_secs += run_sql_at(dop1_cfg, kVecSliceQueries, base);
-      dop4_secs += run_sql_at(dop4_cfg, kVecSliceQueries, base);
-    }
-    if (kVecQueries / serial_secs > par_serial_best)
-      par_serial_best = kVecQueries / serial_secs;
-    if (kVecQueries / dop1_secs > par_dop1_best)
-      par_dop1_best = kVecQueries / dop1_secs;
-    if (kVecQueries / dop4_secs > par_dop4_best)
-      par_dop4_best = kVecQueries / dop4_secs;
-  }
+  // Modes: 0 serial, 1 dop 1, 2 dop 4; the gates are the median rounds'
+  // dop1/serial and dop4/dop1 ratios.
+  const db2graph::ExecConfig* const par_cfgs[] = {&serial_cfg, &dop1_cfg,
+                                                  &dop4_cfg};
+  const std::vector<std::vector<double>> par_secs =
+      GateRounds(3, [&](int mode, int chunk) {
+        return run_sql_at(*par_cfgs[mode], kGateSqlChunk,
+                          chunk * kGateSqlChunk);
+      });
   vec_db.SetExecConfig(serial_cfg);
+  const double par_serial_median = MedianQps(par_secs, 0, kGateSqlRound);
+  const double par_dop1_median = MedianQps(par_secs, 1, kGateSqlRound);
+  const double par_dop4_median = MedianQps(par_secs, 2, kGateSqlRound);
 
   // Gremlin groupCount ablation: barrier drains split into per-worker
   // chunks at dop > 1; serial and parallel must agree on results (the
@@ -920,30 +965,31 @@ int main() {
     if (g4 > gc_dop4_best) gc_dop4_best = g4;
   }
 
-  double dop1_ratio = par_dop1_best / par_serial_best;
-  double dop4_speedup = par_dop4_best / par_dop1_best;
+  const double dop1_ratio = MedianRatio(par_secs, 0, 1);
+  const double dop4_speedup = MedianRatio(par_secs, 1, 2);
   double gc_speedup = gc_dop4_best / gc_dop1_best;
   constexpr double kDop1Floor = 0.95;
   constexpr double kDop4Floor = 1.8;
   const bool dop4_gated = cores >= 4;
   std::printf(
       "bench_parallel: cores=%u sql serial=%.0f q/s dop1=%.0f q/s "
-      "dop4=%.0f q/s dop1/serial=%.2f dop4/dop1=%.2fx (floor %.2fx, %s); "
-      "gremlin groupCount dop1=%.0f q/s dop4=%.0f q/s speedup=%.2fx\n",
-      cores, par_serial_best, par_dop1_best, par_dop4_best, dop1_ratio,
+      "dop4=%.0f q/s dop1/serial=%.2f dop4/dop1=%.2fx (floor %.2fx, %s; "
+      "medians of %d rounds); gremlin groupCount dop1=%.0f q/s dop4=%.0f "
+      "q/s speedup=%.2fx\n",
+      cores, par_serial_median, par_dop1_median, par_dop4_median, dop1_ratio,
       dop4_speedup, kDop4Floor,
       dop4_gated ? "enforced" : "not enforced: fewer than 4 cores",
-      gc_dop1_best, gc_dop4_best, gc_speedup);
+      kGateRounds, gc_dop1_best, gc_dop4_best, gc_speedup);
 
   {
     std::ofstream json("BENCH_parallel.json");
     json << "{\n"
          << "  \"cores\": " << cores << ",\n"
-         << "  \"mix_queries\": " << kVecQueries << ",\n"
-         << "  \"rounds\": " << kRounds << ",\n"
-         << "  \"sql_serial_qps\": " << par_serial_best << ",\n"
-         << "  \"sql_dop1_qps\": " << par_dop1_best << ",\n"
-         << "  \"sql_dop4_qps\": " << par_dop4_best << ",\n"
+         << "  \"mix_queries_per_round\": " << kGateSqlRound << ",\n"
+         << "  \"rounds\": " << kGateRounds << ",\n"
+         << "  \"sql_serial_qps\": " << par_serial_median << ",\n"
+         << "  \"sql_dop1_qps\": " << par_dop1_median << ",\n"
+         << "  \"sql_dop4_qps\": " << par_dop4_median << ",\n"
          << "  \"sql_dop1_over_serial\": " << dop1_ratio << ",\n"
          << "  \"sql_dop4_over_dop1\": " << dop4_speedup << ",\n"
          << "  \"gremlin_groupcount_dop1_qps\": " << gc_dop1_best << ",\n"

@@ -48,8 +48,10 @@ class ExecConfig {
   // ---- builders (return a modified copy; *this is never mutated) ----
 
   /// Degree of intra-query parallelism: number of concurrent morsel
-  /// workers for eligible scans, hash-join builds, and barrier drains.
-  /// 1 = serial (the default); values are clamped to [1, 64] on set.
+  /// workers for eligible scans, hash-join builds, and barrier drains,
+  /// and of per-table statements a multi-table graph lookup runs at once
+  /// on the shared pool. 1 = serial throughout (the default: no pool
+  /// batch is submitted); values are clamped to [1, 64] on set.
   ExecConfig parallelism(int dop) const {
     ExecConfig c = *this;
     c.parallelism_ = dop < 1 ? 1 : (dop > 64 ? 64 : dop);

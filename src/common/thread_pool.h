@@ -7,9 +7,11 @@
 // when every pool worker is busy (or when a task itself calls RunBatch):
 // a waiting caller is also a worker for its batch.
 //
-// This is the execution engine behind the Graph Structure module's
-// parallel multi-table fan-out (DESIGN.md "Concurrency & caching"): each
-// per-table SQL of one graph lookup becomes one task.
+// Every intra-query parallel path runs on it, and only at a query dop
+// above 1: the SQL engine's morsel rounds (DESIGN.md §14), and the Graph
+// Structure module's multi-table fan-out (DESIGN.md §7), where a lookup
+// submits min(tables, dop) tasks that each run every dop-th per-table
+// statement.
 
 #ifndef DB2GRAPH_COMMON_THREAD_POOL_H_
 #define DB2GRAPH_COMMON_THREAD_POOL_H_

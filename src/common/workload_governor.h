@@ -8,7 +8,7 @@
 // Db2Graph::Execute from the limits of the query's resolved ExecConfig
 // (common/exec_config.h) and installed thread-locally — the same
 // propagation model as QueryTrace: deep layers (the SQL operator tree,
-// the interpreter's pull cursor, the provider's fan-out producers) call
+// the interpreter's pull cursor, the provider's per-table jobs) call
 // CheckCurrent() at each block boundary without any signature plumbing,
 // and fan-out pool workers inherit the context through
 // ScopedQueryContext exactly like ScopedTrace.
@@ -81,7 +81,7 @@ struct GovernorLimits {
   }
 };
 
-/// The per-query governance state. Thread-safe: fan-out producers,
+/// The per-query governance state. Thread-safe: fan-out pool workers,
 /// KillQuery callers, and sysmon.active_queries all touch a running
 /// query's context concurrently.
 class QueryContext {
@@ -218,11 +218,10 @@ const char* TerminationReason(const Status& status);
 /// and plain errors (shed is counted at the admission gate, not here).
 void CountTermination(const Status& status);
 
-/// Approximate retained bytes per buffered traverser / vertex, used by
-/// the block-boundary memory accounting. Deliberately coarse: the budget
+/// Approximate retained bytes per buffered traverser, used by the
+/// block-boundary memory accounting. Deliberately coarse: the budget
 /// bounds order-of-magnitude blowups, not exact allocations.
 inline constexpr uint64_t kApproxTraverserBytes = 192;
-inline constexpr uint64_t kApproxVertexBytes = 256;
 
 }  // namespace db2graph::governor
 

@@ -3,18 +3,14 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "common/exec_config.h"
 #include "common/fault_injection.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -268,43 +264,40 @@ Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
   if (options_.vertex_cache) cache_ = std::make_unique<VertexCache>();
 }
 
-bool Db2GraphProvider::FanOut(size_t n) {
-  // Fanning out while this thread already holds the database's shared
-  // read lock (a graphQuery table function inside a SELECT) is unsafe:
-  // pool workers would queue for fresh shared locks behind any waiting
-  // writer, which in turn waits on this thread — a deadlock. Reentrant
-  // calls run serially instead; the outer statement still parallelizes.
-  if (n < 2 || !options_.parallel_fanout ||
-      dialect_->db()->ReadLockHeldByThisThread()) {
-    return false;
+void Db2GraphProvider::ExecuteJobs(size_t n,
+                                   const std::function<void(size_t)>& fn) {
+  // The query's dop is the only switch: at dop 1 (the default) every job
+  // runs on this thread. Fanning out while this thread already holds the
+  // database's shared read lock (a graphQuery table function inside a
+  // SELECT) is unsafe: pool workers would queue for fresh shared locks
+  // behind any waiting writer, which in turn waits on this thread — a
+  // deadlock. Reentrant calls run serially; the outer statement still
+  // parallelizes.
+  sql::Database* db = dialect_->db();
+  const int dop = n < 2 ? 1 : db->ResolveExecConfig().parallelism();
+  if (dop < 2 || db->ReadLockHeldByThisThread()) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
   stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
   stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
-  return true;
-}
-
-void Db2GraphProvider::ExecuteJobs(size_t n,
-                                   const std::function<void(size_t)>& fn) {
-  if (FanOut(n)) {
-    QueryTrace* trace = CurrentTrace();
-    // Pool workers have no thread-local trace or governor context; install
-    // this query's for the duration of each job so per-table SQL lands in
-    // the right trace (never a concurrent query's) and deadline /
-    // cancellation checks inside the job observe the right budgets.
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    if (trace != nullptr || qctx != nullptr) {
-      if (trace != nullptr) trace->AddFanout(1, n);
-      ThreadPool::Shared().RunBatch(n, [&fn, trace, qctx](size_t i) {
-        ScopedTrace scoped(trace);
-        governor::ScopedQueryContext governed(qctx);
-        fn(i);
-      });
-      return;
-    }
-    ThreadPool::Shared().RunBatch(n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) fn(i);
+  QueryTrace* trace = CurrentTrace();
+  if (trace != nullptr) trace->AddFanout(1, n);
+  // Pool workers have no thread-local trace, governor context or
+  // ExecConfig; install this query's for the duration of each task so
+  // per-table SQL lands in the right trace (never a concurrent query's),
+  // deadline / cancellation checks observe the right budgets, and every
+  // statement compiles under the call's settings. At most dop statements
+  // run at once: task t takes jobs t, t + tasks, t + 2 * tasks, ...
+  governor::QueryContext* qctx = governor::CurrentQueryContext();
+  const ExecConfig config = ExecConfig::Current();
+  const size_t tasks = std::min(n, static_cast<size_t>(dop));
+  ThreadPool::Shared().RunBatch(tasks, [&](size_t t) {
+    ScopedTrace scoped(trace);
+    governor::ScopedQueryContext governed(qctx);
+    ScopedExecConfig configured(config);
+    for (size_t j = t; j < n; j += tasks) fn(j);
+  });
 }
 
 bool Db2GraphProvider::CacheUsable(const LookupSpec& spec) const {
@@ -379,8 +372,8 @@ Status Db2GraphProvider::FetchAll(const std::vector<TableStatement>& stmts,
   ExecuteJobs(stmts.size(), [&](size_t j) {
     statuses[j] = [&]() -> Status {
       // A cancelled / timed-out query skips the tables it has not fetched
-      // yet; with fan-out, workers past this check finish their one
-      // statement and the batch unwinds at the merge.
+      // yet, pool tasks included; statements already running finish and
+      // the batch unwinds at the merge.
       DB2G_RETURN_NOT_OK(governor::CheckCurrent());
       DB2G_FAILPOINT(failpoint);
       Result<sql::ResultSet> rs = RunStatement(dialect_, stmts[j]);
@@ -453,87 +446,18 @@ bool Db2GraphProvider::FromCache(const Value& id, uint64_t epoch,
 
 namespace {
 
-// Bounded handoff of vertex blocks from one per-table producer to the
-// consuming stream: producers block when their queue is full (backpressure
-// instead of materializing the table), the consumer blocks until the
-// producer delivers or finishes, and cancellation wakes both sides.
-class VertexBlockQueue {
- public:
-  explicit VertexBlockQueue(size_t capacity) : capacity_(capacity) {}
-
-  // Producer side. False = the consumer cancelled; stop fetching.
-  bool Push(std::vector<VertexPtr> block) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return cancelled_ || blocks_.size() < capacity_;
-    });
-    if (cancelled_) return false;
-    blocks_.push_back(std::move(block));
-    not_empty_.notify_one();
-    return true;
-  }
-  void MarkDone(Status status) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_ = true;
-    status_ = std::move(status);
-    not_empty_.notify_all();
-  }
-
-  // Consumer side. False = producer finished; check TakeStatus().
-  bool Pop(std::vector<VertexPtr>* block) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return done_ || !blocks_.empty(); });
-    if (blocks_.empty()) return false;
-    *block = std::move(blocks_.front());
-    blocks_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-  Status TakeStatus() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return status_;
-  }
-  void Cancel() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cancelled_ = true;
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
- private:
-  const size_t capacity_;
-  std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<std::vector<VertexPtr>> blocks_;
-  bool done_ = false;
-  bool cancelled_ = false;
-  Status status_ = Status::OK();
-};
-
-// Live streaming vertex lookup over the surviving tables.
-//
-// Serial mode keeps at most one per-table SQL stream open and pulls
-// exactly the vertices the consumer asks for. Parallel mode (fan-out
-// eligible) starts a coordinator thread that fans the per-table producers
-// out on the shared pool; each producer streams its table into a bounded
-// VertexBlockQueue and the consumer drains the queues in table order, so
-// results match the materialized table-major merge exactly. Close()
-// cancels: producers stop at their next push, and ones that have not
-// started observe the flag and never open their SQL stream.
+// Live streaming vertex lookup over the surviving tables: at most one
+// per-table SQL stream is open at a time, opened in table order, and it
+// pulls exactly the vertices the consumer asks for. At dop > 1 each
+// table's statement still scans in parallel inside the SQL engine.
 class Db2VertexStream : public gremlin::VertexStream {
  public:
-  static constexpr size_t kQueueBlocks = 4;  // per-table backpressure bound
-
   Db2VertexStream(SqlDialect* dialect, const overlay::Topology* topology,
-                  LookupSpec spec, std::vector<TableStatement> jobs,
-                  bool parallel)
+                  LookupSpec spec, std::vector<TableStatement> jobs)
       : dialect_(dialect),
         topology_(topology),
         spec_(std::move(spec)),
-        jobs_(std::move(jobs)) {
-    if (parallel) StartParallel();
-  }
+        jobs_(std::move(jobs)) {}
 
   ~Db2VertexStream() override { Close(); }
 
@@ -541,35 +465,13 @@ class Db2VertexStream : public gremlin::VertexStream {
     out->clear();
     if (closed_ || !status_.ok()) return false;
     if (max == 0) max = 1;
-    return parallel_mode_ ? NextParallel(out, max) : NextSerial(out, max);
-  }
-
-  void Close() override {
-    if (closed_) return;
-    closed_ = true;
-    if (serial_stream_ != nullptr) {
-      serial_stream_->Close();
-      serial_stream_.reset();
-    }
-    if (parallel_mode_) {
-      cancel_.store(true, std::memory_order_release);
-      for (auto& q : queues_) q->Cancel();
-      if (coordinator_.joinable()) coordinator_.join();
-    }
-  }
-
-  const Status& status() const override { return status_; }
-
- private:
-  // -- serial: lazy per-table SQL streams, opened in table order ----------
-  bool NextSerial(std::vector<VertexPtr>* out, size_t max) {
     while (true) {
       Status gst = governor::CheckCurrent();
       if (!gst.ok()) {
         status_ = std::move(gst);
         return false;
       }
-      if (serial_stream_ == nullptr) {
+      if (stream_ == nullptr) {
         if (job_pos_ >= jobs_.size()) return false;
         Result<std::unique_ptr<DialectRowStream>> stream =
             OpenVertexStatement(dialect_, jobs_[job_pos_]);
@@ -577,13 +479,13 @@ class Db2VertexStream : public gremlin::VertexStream {
           status_ = stream.status();
           return false;
         }
-        serial_stream_ = std::move(*stream);
+        stream_ = std::move(*stream);
       }
       block_.capacity = max;
-      if (!serial_stream_->Next(&block_)) {
-        status_ = serial_stream_->status();
-        serial_stream_->Close();
-        serial_stream_.reset();
+      if (!stream_->Next(&block_)) {
+        status_ = stream_->status();
+        stream_->Close();
+        stream_.reset();
         if (!status_.ok()) return false;
         ++job_pos_;
         continue;
@@ -597,138 +499,26 @@ class Db2VertexStream : public gremlin::VertexStream {
     }
   }
 
-  // -- parallel: bounded queues fed by pool workers -----------------------
-  void StartParallel() {
-    parallel_mode_ = true;
-    queues_.reserve(jobs_.size());
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-      queues_.push_back(std::make_unique<VertexBlockQueue>(kQueueBlocks));
-    }
-    QueryTrace* trace = CurrentTrace();
-    if (trace != nullptr) trace->AddFanout(1, jobs_.size());
-    // Producers inherit the consumer's governor context so a deadline or
-    // kill observed mid-table stops the fetch from inside the producer,
-    // not only when the consumer gets around to calling Close().
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    // RunBatch blocks its caller until every task finished, which must not
-    // be the consumer: a dedicated coordinator submits the batch and is
-    // joined on Close(). The consumer only ever waits on queue pops.
-    coordinator_ = std::thread([this, trace, qctx] {
-      ThreadPool::Shared().RunBatch(jobs_.size(),
-                                    [this, trace, qctx](size_t j) {
-        ScopedTrace scoped(trace);
-        governor::ScopedQueryContext governed(qctx);
-        ProduceTable(j);
-      });
-    });
-  }
-
-  void ProduceTable(size_t j) {
-    VertexBlockQueue& queue = *queues_[j];
-    // Early termination: a task that has not opened its SQL stream when
-    // the consumer closes never runs it at all.
-    if (cancel_.load(std::memory_order_acquire)) {
-      queue.MarkDone(Status::OK());
-      return;
-    }
-    Result<std::unique_ptr<DialectRowStream>> stream =
-        OpenVertexStatement(dialect_, jobs_[j]);
-    if (!stream.ok()) {
-      queue.MarkDone(stream.status());
-      return;
-    }
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    Status final_status = Status::OK();
-    sql::RowBlock block;
-    while (!cancel_.load(std::memory_order_acquire)) {
-      // The governor check makes an expired deadline stop the fetch from
-      // inside the producer; the consumer's unwind (Close) still runs, but
-      // the SQL stream stops pulling rows immediately.
-      if (qctx != nullptr) {
-        final_status = qctx->Check();
-        if (!final_status.ok()) break;
-      }
-      DB2G_FAILPOINT_STATUS("provider.producer_block", final_status);
-      if (!final_status.ok()) break;
-      block.capacity = sql::kDefaultBlockRows;
-      if (!(*stream)->Next(&block)) {
-        final_status = (*stream)->status();
-        break;
-      }
-      std::vector<VertexPtr> vertices;
-      vertices.reserve(block.rows.size());
-      for (Row& row : block.rows) {
-        VertexPtr v = FetchedVertex(*topology_, jobs_[j], spec_, std::move(row));
-        if (v != nullptr) vertices.push_back(std::move(v));
-      }
-      if (vertices.empty()) continue;
-      if (qctx != nullptr) {
-        // Blocks parked in the bounded queue count against the query's
-        // memory budget; the consumer releases the charge on pop. Charges
-        // stranded by cancellation die with the query context.
-        final_status = qctx->ChargeMemory(vertices.size() *
-                                          governor::kApproxVertexBytes);
-        if (!final_status.ok()) break;
-      }
-      if (!queue.Push(std::move(vertices))) break;
-    }
-    (*stream)->Close();
-    queue.MarkDone(std::move(final_status));
-  }
-
-  bool NextParallel(std::vector<VertexPtr>* out, size_t max) {
-    while (true) {
-      if (pending_pos_ < pending_.size()) {
-        size_t n = std::min(max, pending_.size() - pending_pos_);
-        for (size_t i = 0; i < n; ++i) {
-          out->push_back(std::move(pending_[pending_pos_ + i]));
-        }
-        pending_pos_ += n;
-        if (pending_pos_ >= pending_.size()) {
-          pending_.clear();
-          pending_pos_ = 0;
-        }
-        return true;
-      }
-      if (queue_pos_ >= queues_.size()) return false;
-      std::vector<VertexPtr> block;
-      if (!queues_[queue_pos_]->Pop(&block)) {
-        Status st = queues_[queue_pos_]->TakeStatus();
-        if (!st.ok()) {
-          status_ = std::move(st);
-          return false;
-        }
-        ++queue_pos_;  // table drained; move to the next in order
-        continue;
-      }
-      if (governor::QueryContext* qctx = governor::CurrentQueryContext()) {
-        qctx->ReleaseMemory(block.size() * governor::kApproxVertexBytes);
-      }
-      pending_ = std::move(block);
-      pending_pos_ = 0;
+  void Close() override {
+    closed_ = true;
+    if (stream_ != nullptr) {
+      stream_->Close();
+      stream_.reset();
     }
   }
 
+  const Status& status() const override { return status_; }
+
+ private:
   SqlDialect* dialect_;
   const overlay::Topology* topology_;
   LookupSpec spec_;
   std::vector<TableStatement> jobs_;
   Status status_ = Status::OK();
   bool closed_ = false;
-
-  // Serial state.
   size_t job_pos_ = 0;
-  std::unique_ptr<DialectRowStream> serial_stream_;
+  std::unique_ptr<DialectRowStream> stream_;
   sql::RowBlock block_;
-
-  // Parallel state.
-  bool parallel_mode_ = false;
-  std::atomic<bool> cancel_{false};
-  std::vector<std::unique_ptr<VertexBlockQueue>> queues_;
-  std::thread coordinator_;
-  size_t queue_pos_ = 0;
-  std::vector<VertexPtr> pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace
@@ -775,10 +565,8 @@ Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
   Result<std::vector<TableStatement>> jobs =
       SurvivingTables(TableKind::kVertex, spec);
   if (!jobs.ok()) return jobs.status();
-
-  const bool parallel = FanOut(jobs->size());
-  return std::unique_ptr<gremlin::VertexStream>(new Db2VertexStream(
-      dialect_, &topology_, spec, std::move(*jobs), parallel));
+  return std::unique_ptr<gremlin::VertexStream>(
+      new Db2VertexStream(dialect_, &topology_, spec, std::move(*jobs)));
 }
 
 Result<Value> Db2GraphProvider::AggregateVertices(const LookupSpec& spec) {

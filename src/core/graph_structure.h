@@ -34,9 +34,10 @@
 namespace db2graph::core {
 
 /// Toggles for the Section 6.3 data-dependent runtime optimizations, plus
-/// the provider-level knobs (parallel fan-out, hot-vertex cache) that sit
-/// on top of them. Execution modes (streaming, vectorized, block size)
-/// live in ExecConfig, not here.
+/// the hot-vertex cache that sits on top of them. Execution modes
+/// (parallelism, streaming, vectorized, block size) live in ExecConfig,
+/// not here: the query's dop alone decides whether a multi-table lookup
+/// fans its per-table SQL out across the shared thread pool.
 struct RuntimeOptions {
   bool label_pruning = true;
   bool prefixed_id_pinning = true;
@@ -45,11 +46,6 @@ struct RuntimeOptions {
   bool vertex_from_edge_shortcut = true;
   bool implicit_edge_id_decomposition = true;
 
-  /// Fan per-table SQL of one lookup out across the shared thread pool
-  /// whenever more than one table survives pruning. Skipped when the
-  /// calling thread already holds the database read lock (graphQuery
-  /// inside a SELECT) — see DESIGN.md "Concurrency & caching".
-  bool parallel_fanout = true;
   /// Sharded LRU cache of fully-materialized vertices by id, invalidated
   /// via the database write epoch. Bypassed under access control.
   bool vertex_cache = true;
@@ -59,8 +55,7 @@ struct RuntimeOptions {
     RuntimeOptions o;
     o.label_pruning = o.prefixed_id_pinning = o.property_pruning =
         o.endpoint_table_pruning = o.vertex_from_edge_shortcut =
-            o.implicit_edge_id_decomposition = o.parallel_fanout =
-                o.vertex_cache = false;
+            o.implicit_edge_id_decomposition = o.vertex_cache = false;
     return o;
   }
 };
@@ -79,14 +74,11 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   Status Edges(const gremlin::LookupSpec& spec,
                std::vector<gremlin::EdgePtr>* out) override;
 
-  /// True streaming vertex lookup: per-table SQL runs block-at-a-time, so
-  /// a consumer that stops pulling (a downstream limit) never pays for the
-  /// tables — or table suffixes — it did not reach. Single-table lookups
-  /// stream lazily in table order; when the parallel fan-out applies, the
-  /// per-table producers feed bounded block queues that the stream drains
-  /// in deterministic table order, and Close() cancels producers that have
-  /// not started yet. Point lookups eligible for the vertex cache fall
-  /// back to the materialized path so cache semantics are preserved.
+  /// True streaming vertex lookup: per-table SQL runs block-at-a-time, one
+  /// table at a time in table order, so a consumer that stops pulling (a
+  /// downstream limit) never pays for the tables — or table suffixes — it
+  /// did not reach. Point lookups eligible for the vertex cache fall back
+  /// to the materialized path so cache semantics are preserved.
   Result<std::unique_ptr<gremlin::VertexStream>> VerticesStreaming(
       const gremlin::LookupSpec& spec) override;
   Status AdjacentEdges(const std::vector<gremlin::VertexPtr>& from,
@@ -252,11 +244,11 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   SqlPreview Preview(const std::string& table, const TableStatement* stmt,
                      size_t unbound_begin = 0, size_t unbound_end = 0) const;
 
-  /// Whether `n` per-table jobs fan out (enabled, n > 1, caller not
-  /// inside a database read lock); counts the batch and its tasks if so.
-  bool FanOut(size_t n);
-  /// Runs fn(0..n-1): on the shared thread pool when FanOut(n), serially
-  /// otherwise.
+  /// Runs the per-table jobs fn(0..n-1). They fan out on the shared
+  /// thread pool, at most dop at once, when n > 1, the query's resolved
+  /// ExecConfig dop is above 1 and the caller holds no database read lock
+  /// (counting the batch and its jobs); otherwise they run serially on
+  /// this thread.
   void ExecuteJobs(size_t n, const std::function<void(size_t)>& fn);
 
   /// Answers `id` from the vertex cache, appending the cached vertices

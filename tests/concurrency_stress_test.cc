@@ -1,8 +1,9 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// Concurrency stress coverage for the parallel multi-table fan-out and the
-// sharded vertex cache: correct results under many concurrent sessionless
-// GremlinService submits, nonzero parallel-batch/cache counters, and
+// Concurrency stress coverage for the dop-governed multi-table fan-out and
+// the sharded vertex cache: correct results under many concurrent
+// sessionless GremlinService submits, nonzero parallel-batch/cache
+// counters at dop 4, and
 // write-epoch invalidation (a write provably flushes stale cache entries,
 // including cached negative lookups). The ConcurrentReadersAndWriter and
 // PreparedLookupsDuringIndexedDmlChurn cases are the primary TSan targets
@@ -48,8 +49,11 @@ class ConcurrencyStressTest : public ::testing::Test {
     graph_ = std::move(*graph);
   }
 
-  Result<std::vector<Traverser>> Run(const std::string& script) {
-    return graph_->Execute(script);
+  Result<std::vector<Traverser>> Run(const std::string& script,
+                                     const ExecConfig& config = {}) {
+    ExecOptions options;
+    options.config = config;
+    return graph_->Execute(script, options);
   }
 
   linkbench::Dataset dataset_;
@@ -61,7 +65,8 @@ TEST_F(ConcurrencyStressTest, FanOutAndCacheCountersFire) {
   auto& stats = graph_->provider()->stats();
   stats.Reset();
 
-  Result<std::vector<Traverser>> first = Run("g.V(17)");
+  Result<std::vector<Traverser>> first =
+      Run("g.V(17)", ExecConfig().parallelism(4));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_EQ(first->size(), 1u);
   EXPECT_EQ((*first)[0].vertex->id, Value(int64_t{17}));
@@ -72,7 +77,8 @@ TEST_F(ConcurrencyStressTest, FanOutAndCacheCountersFire) {
   EXPECT_GE(stats.Snapshot().parallel_tasks, 10u);
 
   uint64_t queries_before = graph_->dialect()->queries_issued();
-  Result<std::vector<Traverser>> second = Run("g.V(17)");
+  Result<std::vector<Traverser>> second =
+      Run("g.V(17)", ExecConfig().parallelism(4));
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   ASSERT_EQ(second->size(), 1u);
   EXPECT_EQ((*second)[0].vertex->id, Value(int64_t{17}));
@@ -82,8 +88,9 @@ TEST_F(ConcurrencyStressTest, FanOutAndCacheCountersFire) {
 }
 
 TEST_F(ConcurrencyStressTest, ConcurrentSubmitsReturnCorrectResults) {
-  GremlinService service(graph_.get(),
-                         GremlinService::Options::WithWorkers(8));
+  GremlinService::Options options = GremlinService::Options::WithWorkers(8);
+  options.exec = ExecConfig().parallelism(4);
+  GremlinService service(graph_.get(), options);
   auto& stats = graph_->provider()->stats();
   stats.Reset();
 
@@ -150,8 +157,8 @@ TEST_F(ConcurrencyStressTest, WriteInvalidatesCachedNegativeLookup) {
 }
 
 TEST_F(ConcurrencyStressTest, ConcurrentTracedQueriesDoNotInterleaveSpans) {
-  // Each thread runs its own traced query against a distinct vertex id;
-  // the installed traces are per-thread (and per-fan-out-job via
+  // Each thread runs its own traced dop-4 query against a distinct vertex
+  // id; the installed traces are per-thread (and per-fan-out-task via
   // ScopedTrace), so every SQL record must mention only that thread's id.
   // Primary TSan target for the tracing layer.
   constexpr int kThreads = 4;
@@ -171,6 +178,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentTracedQueriesDoNotInterleaveSpans) {
         QueryTrace trace;
         ExecOptions opts;
         opts.trace = &trace;
+        opts.config = ExecConfig().parallelism(4);
         opts.bindings = {{"vid", {Value(id)}}};
         Result<std::vector<Traverser>> out = graph_->Execute("g.V(vid)", opts);
         if (!out.ok() || out->size() != 1) {

@@ -414,6 +414,23 @@ TEST_F(Db2GraphTest, GraphQueryTableFunctionInsideSql) {
   EXPECT_EQ(rs->rows[1][0], Value("Carol"));
 }
 
+TEST_F(Db2GraphTest, GraphQueryInsideSqlNeverFansOut) {
+  // Under the SELECT's shared read lock a fan-out could deadlock behind a
+  // queued writer, so even at dop 4 the nested lookup runs serially; the
+  // same lookup outside SQL fans out across both vertex tables.
+  ASSERT_TRUE(graph_->RegisterGraphQueryFunction().ok());
+  db_.SetExecConfig(db_.exec_config().parallelism(4));
+  auto& stats = graph_->provider()->stats();
+  stats.Reset();
+  Result<sql::ResultSet> rs = db_.Execute(
+      "SELECT t.n FROM TABLE (graphQuery('gremlin', 'g.V().count()')) "
+      "AS t (n BIGINT)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Single("g.V().count()"));
+  EXPECT_EQ(stats.Snapshot().parallel_batches, 1u);  // the outside call
+}
+
 TEST_F(Db2GraphTest, GraphQueryMultiColumnRows) {
   ASSERT_TRUE(graph_->RegisterGraphQueryFunction().ok());
   Result<sql::ResultSet> rs = db_.Execute(

@@ -118,22 +118,24 @@ TEST_F(FaultInjectionTest, FirstHitsOnlyThenRecovers) {
   ExpectHealthy();
 }
 
-TEST_F(FaultInjectionTest, SlowProducerBlockTripsDeadline) {
-  // Slow-block injection: each producer block stalls 20 ms, so a 60 ms
-  // deadline expires mid-stream and the governor cancels the fan-out.
-  FailPointRegistry::Global().Enable("provider.producer_block",
-                                     fault::SleepFault(20));
+TEST_F(FaultInjectionTest, SlowTableFetchTripsDeadline) {
+  // Slow-fetch injection: each per-table fetch of a 10-table point lookup
+  // stalls 50 ms. At dop 4 the fetches fan out four at a time, so the
+  // 60 ms deadline expires during the second round and the governor
+  // stops the fan-out.
+  FailPointRegistry::Global().Enable("provider.fetch_vertex_table",
+                                     fault::SleepFault(50));
   ExecOptions options;
-  options.config = ExecConfig().timeout_ms(60);
+  options.config = ExecConfig().parallelism(4).timeout_ms(60);
   auto start = std::chrono::steady_clock::now();
-  Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
+  Result<std::vector<Traverser>> out = graph_->Execute("g.V(5)", options);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kTimeout)
       << out.status().ToString();
-  // Unwind is prompt: one in-flight sleep per producer at most, nowhere
-  // near the ~10s a full injected-slow scan would take.
+  // Unwind is prompt: one in-flight sleep per pool task at most, nowhere
+  // near the 500 ms ten serial injected fetches would take.
   EXPECT_LT(elapsed.count(), 2000);
   ExpectHealthy();
 }

@@ -15,7 +15,7 @@
 //  * GremlinService admission control (bounded queue sheds with
 //    kOverloaded under 4x-concurrency load) and Shutdown() cancelling
 //    in-flight queries through the shared token;
-//  * cancellation racing the parallel multi-table fan-out (a TSan
+//  * cancellation racing the dop-4 multi-table fan-out (a TSan
 //    target, so the suite name matches the CI stress regex).
 
 #include <atomic>
@@ -86,8 +86,7 @@ linkbench::Dataset* GovernorDeadlineTest::dataset_ = nullptr;
 sql::Database* GovernorDeadlineTest::db_ = nullptr;
 
 // The acceptance test: deadline 50 ms, full two-hop expansion, kTimeout
-// in well under 100 ms with the fan-out joined (Execute returning at all
-// proves the join — producers still running would crash on teardown).
+// in well under 100 ms.
 TEST_F(GovernorDeadlineTest, FullTraversalTimesOutUnder100ms) {
   uint64_t timeouts_before = CounterValue(governor::kTimeoutsCounter);
   ExecOptions options;
@@ -432,8 +431,8 @@ TEST_F(GovernorDeadlineTest, ServiceKillQueryCancelsOneRequest) {
 }
 
 // ------------------------------------------------------------------
-// Cancellation vs the parallel fan-out (TSan stress; the suite name
-// matches the CI tsan-stress regex).
+// Cancellation vs the dop-4 per-table fan-out (TSan stress; the suite
+// name matches the CI tsan-stress regex).
 // ------------------------------------------------------------------
 
 class GovernorCancellationStressTest : public ::testing::Test {
@@ -454,19 +453,23 @@ class GovernorCancellationStressTest : public ::testing::Test {
   std::unique_ptr<Db2Graph> graph_;
 };
 
-// A cancel fired from another thread races the 10-table producer fan-out:
-// producers must observe the token (or the queue cancel) and join without
-// a leak or a data race, whatever the interleaving.
+// A cancel fired from another thread races the 10-table fan-out of an
+// untyped aggregate and of both(): pool workers must observe the token and
+// the batch must join without a leak or a data race, whatever the
+// interleaving.
 TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     governor::CancelToken token = governor::CancelToken::Make();
     ExecOptions options;
     options.cancel_token = token;
+    options.config = ExecConfig().parallelism(4);
     std::thread canceller([&token, iter] {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * iter));
       token.Cancel("stress cancel");
     });
-    Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
+    Result<std::vector<Traverser>> out = graph_->Execute(
+        iter % 2 == 0 ? "g.V().values('time').max()" : "g.V().both().count()",
+        options);
     canceller.join();
     // Either the query won the race or it observed the cancel — both are
     // valid; crashes, races, and stuck producers are what TSan hunts.
@@ -477,12 +480,12 @@ TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
   }
 }
 
-// Tight deadlines expire while producers are mid-table; every outcome
-// must be kTimeout or a complete result, with the fan-out joined.
+// Tight deadlines expire while dop-4 pool workers are mid-table; every
+// outcome must be kTimeout or a complete result, with the fan-out joined.
 TEST_F(GovernorCancellationStressTest, DeadlineRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     ExecOptions options;
-    options.config = ExecConfig().timeout_ms(1 + iter % 5);
+    options.config = ExecConfig().parallelism(4).timeout_ms(1 + iter % 5);
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().both().count()", options);
     if (!out.ok()) {

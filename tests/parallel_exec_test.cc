@@ -13,12 +13,15 @@
 //    sizes 1/7/1024 x vectorized/scalar (double aggregates compare with
 //    an epsilon: per-worker partial sums reassociate);
 //  * Gremlin parallel-vs-serial equivalence — the streaming shape suite
-//    at every (dop, block size, vectorized) combination matches the
-//    serial materialized baseline exactly, ordering included;
+//    at every (dop, block size, vectorized, streaming) combination
+//    matches the serial materialized baseline exactly, ordering included;
 //  * observability — EXPLAIN ANALYZE, ExecInfo, and sysmon.query_log
 //    surface the per-query dop and morsel counts, and a serial plan
 //    keeps reporting dop 1 / morsels 0 even when the config asks for
 //    more;
+//  * provider fan-out — a multi-table lookup fans its per-table SQL out
+//    only at dop > 1, on at most dop threads, each statement under the
+//    call's ExecConfig;
 //  * governance — morsel workers racing KillQuery under TSan, and
 //    cooperative cancellation landing in under 100 ms mid-parallel-scan.
 
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +39,7 @@
 
 #include "common/exec_config.h"
 #include "common/query_log.h"
+#include "common/trace.h"
 #include "common/workload_governor.h"
 #include "core/db2graph.h"
 #include "linkbench/linkbench.h"
@@ -454,20 +459,25 @@ TEST_F(ParallelGremlinEquivalenceTest, StreamingShapesMatchAcrossTheMatrix) {
     expected.push_back(RunOrdered(baseline.get(), q));
   }
 
-  const int kDops[] = {1, 2, 8};
+  // dop > 1 also fans multi-table lookups out across the pool.
+  const int kDops[] = {1, 2, 4, 8};
   const size_t kBlockSizes[] = {1, 7, 1024};
   for (int dop : kDops) {
     for (size_t block : kBlockSizes) {
       for (bool vectorized : {true, false}) {
-        std::unique_ptr<Db2Graph> graph = Open(ExecConfig()
-                                                   .parallelism(dop)
-                                                   .block_rows(block)
-                                                   .vectorized(vectorized));
-        ASSERT_NE(graph, nullptr);
-        for (size_t i = 0; i < std::size(kQueries); ++i) {
-          EXPECT_EQ(expected[i], RunOrdered(graph.get(), kQueries[i]))
-              << kQueries[i] << " at dop=" << dop << " block=" << block
-              << " vectorized=" << vectorized;
+        for (bool streaming : {true, false}) {
+          std::unique_ptr<Db2Graph> graph = Open(ExecConfig()
+                                                     .parallelism(dop)
+                                                     .block_rows(block)
+                                                     .vectorized(vectorized)
+                                                     .streaming(streaming));
+          ASSERT_NE(graph, nullptr);
+          for (size_t i = 0; i < std::size(kQueries); ++i) {
+            EXPECT_EQ(expected[i], RunOrdered(graph.get(), kQueries[i]))
+                << kQueries[i] << " at dop=" << dop << " block=" << block
+                << " vectorized=" << vectorized
+                << " streaming=" << streaming;
+          }
         }
       }
     }
@@ -488,6 +498,97 @@ TEST_F(ParallelGremlinEquivalenceTest, PerCallConfigOverridesSessionDop) {
   ASSERT_EQ(parallel_out->size(), serial_out->size());
   for (size_t i = 0; i < parallel_out->size(); ++i) {
     EXPECT_EQ((*parallel_out)[i].ToString(), (*serial_out)[i].ToString());
+  }
+}
+
+// ------------------------------------------------------------------
+// Provider fan-out: the query's dop is its only switch.
+// ------------------------------------------------------------------
+
+class ParallelFanOutTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    linkbench::Config config;
+    config.num_vertices = 500;
+    dataset_ = linkbench::GeneratePartitioned(config);
+    ASSERT_TRUE(linkbench::LoadIntoPartitionedDatabase(&db_, dataset_).ok());
+    // Plain integer ids pin no table: g.V(id) consults all 10.
+    Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(
+        &db_, linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false));
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    graph_ = std::move(*graph);
+  }
+
+  // The first (lookup) span of `script` traced under the per-call `config`.
+  StepTraceSpan TracedLookup(const std::string& script,
+                             const ExecConfig& config) {
+    QueryTrace trace;
+    ExecOptions options;
+    options.trace = &trace;
+    options.config = config;
+    Result<std::vector<Traverser>> out = graph_->Execute(script, options);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<StepTraceSpan> spans = trace.Spans();
+    if (spans.empty()) {
+      ADD_FAILURE() << "no spans traced for " << script;
+      return {};
+    }
+    return spans[0];
+  }
+
+  static std::set<int> Tids(const StepTraceSpan& span) {
+    std::set<int> tids;
+    for (const SqlTraceRecord& rec : span.statements) tids.insert(rec.tid);
+    return tids;
+  }
+
+  linkbench::Dataset dataset_;
+  sql::Database db_;
+  std::unique_ptr<Db2Graph> graph_;
+};
+
+TEST_F(ParallelFanOutTest, DopOneLookupsNeverFanOut) {
+  auto& stats = graph_->provider()->stats();
+  stats.Reset();
+  StepTraceSpan lookup = TracedLookup("g.V(17)", ExecConfig());
+  EXPECT_EQ(lookup.statements.size(), 10u);
+  EXPECT_EQ(lookup.fanout_batches, 0u);
+  EXPECT_EQ(lookup.fanout_tasks, 0u);
+  EXPECT_EQ(Tids(lookup).size(), 1u);
+  // Multi-table aggregates, adjacency and streamed scans stay on the
+  // calling thread too.
+  for (const char* q : {"g.V().values('version').max()", "g.V(18).both()",
+                        "g.V().limit(50)"}) {
+    Result<std::vector<Traverser>> out = graph_->Execute(q);
+    ASSERT_TRUE(out.ok()) << q << ": " << out.status().ToString();
+  }
+  EXPECT_EQ(stats.Snapshot().parallel_batches, 0u);
+  EXPECT_EQ(stats.Snapshot().parallel_tasks, 0u);
+}
+
+TEST_F(ParallelFanOutTest, DopFourFansOutOnAtMostFourThreads) {
+  auto& stats = graph_->provider()->stats();
+  stats.Reset();
+  StepTraceSpan lookup =
+      TracedLookup("g.V(17)", ExecConfig().parallelism(4));
+  EXPECT_EQ(lookup.statements.size(), 10u);
+  EXPECT_EQ(lookup.fanout_batches, 1u);
+  EXPECT_EQ(lookup.fanout_tasks, 10u);
+  EXPECT_LE(Tids(lookup).size(), 4u);
+  EXPECT_EQ(stats.Snapshot().parallel_batches, 1u);
+  EXPECT_EQ(stats.Snapshot().parallel_tasks, 10u);
+}
+
+TEST_F(ParallelFanOutTest, FannedOutStatementsRunUnderTheCallConfig) {
+  // Every per-table aggregate statement, whichever pool worker issues it,
+  // compiles under this call's settings, not the session's.
+  StepTraceSpan lookup =
+      TracedLookup("g.V().values('version').sum()",
+                   ExecConfig().parallelism(4).vectorized(false));
+  EXPECT_GT(lookup.fanout_tasks, 0u);
+  ASSERT_EQ(lookup.statements.size(), 10u);
+  for (const SqlTraceRecord& rec : lookup.statements) {
+    EXPECT_EQ(rec.exec_mode, "scalar") << rec.sql;
   }
 }
 

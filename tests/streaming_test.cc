@@ -11,9 +11,9 @@
 //    table, while the materialized path scans everything);
 //  * barrier-step drain equivalence (order/tail/groupCount/cap/aggregates
 //    over a streamed upstream);
-//  * early-termination cancellation racing the parallel multi-table
-//    fan-out (a TSan target: Close() mid-stream must cleanly cancel
-//    producers that have not started and join the ones that have).
+//  * early-termination cancellation racing dop-4 pool workers (a TSan
+//    target: Close() mid-stream, with morsel scans and adjacency fan-outs
+//    on the shared pool, must unwind cleanly).
 
 #include <cstdint>
 #include <memory>
@@ -48,7 +48,7 @@ std::vector<std::string> RunOrdered(Db2Graph* graph, const std::string& q) {
 // ------------------------------------------------------------------
 
 // Partitioned LinkBench (10 vertex tables, 10 edge tables) with plain
-// integer ids, so multi-table fan-out and table-order merging are always
+// integer ids, so multi-table lookups and table-order merging are always
 // in play.
 class StreamingEquivalenceTest : public ::testing::Test {
  protected:
@@ -292,7 +292,9 @@ TEST(StreamingScanBudgetTest, LimitBudgetAppliesPerConsultedTable) {
 }
 
 // ------------------------------------------------------------------
-// Early-termination cancellation vs the parallel fan-out (TSan target).
+// Early-termination cancellation vs pool workers at dop 4 (TSan target):
+// each table's scan runs morsels on the shared pool, and adjacency steps
+// fan their per-table SQL out across it.
 // ------------------------------------------------------------------
 
 class StreamingCancellationTest : public ::testing::Test {
@@ -314,18 +316,26 @@ class StreamingCancellationTest : public ::testing::Test {
 };
 
 TEST_F(StreamingCancellationTest, CloseMidStreamRacesProducers) {
-  // Directly drive the provider stream: pull a varying number of blocks
-  // (including zero — Close before any Next cancels producers that may
-  // not have started), then Close while the 10-table fan-out is running.
+  // Directly drive the provider stream at dop 4: pull a varying number of
+  // blocks (including zero — Close before any Next), fan each block's
+  // adjacency out across the pool while the stream's cursor is open, then
+  // Close mid-table.
+  ScopedExecConfig dop4(ExecConfig().parallelism(4));
+  gremlin::GraphProvider* provider = graph_->provider();
   for (int iter = 0; iter < 50; ++iter) {
     gremlin::LookupSpec spec;  // all tables
     Result<std::unique_ptr<gremlin::VertexStream>> stream =
-        graph_->provider()->VerticesStreaming(spec);
+        provider->VerticesStreaming(spec);
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
     std::vector<gremlin::VertexPtr> block;
     for (int pulls = 0; pulls < iter % 4; ++pulls) {
       if (!(*stream)->Next(&block, 8)) break;
       EXPECT_TRUE((*stream)->status().ok());
+      std::vector<gremlin::EdgePtr> edges;
+      ASSERT_TRUE(provider
+                      ->AdjacentEdges(block, gremlin::Direction::kBoth,
+                                      gremlin::LookupSpec(), &edges)
+                      .ok());
     }
     (*stream)->Close();
     (*stream)->Close();  // idempotent
@@ -333,13 +343,26 @@ TEST_F(StreamingCancellationTest, CloseMidStreamRacesProducers) {
 }
 
 TEST_F(StreamingCancellationTest, LimitQueriesCancelCleanly) {
-  // The same race through the full stack: a saturated limit closes the
-  // stream while per-table producers are mid-scan.
+  // The same race through the full stack at dop 4: a saturated limit
+  // closes the vertex stream mid-table, and the both() after it fans its
+  // per-table edge SQL out across the pool. Answers match dop 1.
+  ExecOptions dop4;
+  dop4.config = ExecConfig().parallelism(4);
   for (int iter = 0; iter < 50; ++iter) {
-    Result<std::vector<Traverser>> out =
-        graph_->Execute("g.V().limit(" + std::to_string(1 + iter % 7) + ")");
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(out->size(), static_cast<size_t>(1 + iter % 7));
+    const std::string limit = ".limit(" + std::to_string(1 + iter % 7) + ")";
+    const std::string q = iter % 2 == 0 ? "g.V()" + limit
+                                        : "g.V()" + limit + ".both()" + limit;
+    Result<std::vector<Traverser>> out = graph_->Execute(q, dop4);
+    ASSERT_TRUE(out.ok()) << q << ": " << out.status().ToString();
+    Result<std::vector<Traverser>> serial = graph_->Execute(q);
+    ASSERT_TRUE(serial.ok()) << q << ": " << serial.status().ToString();
+    ASSERT_EQ(out->size(), serial->size()) << q;
+    for (size_t i = 0; i < out->size(); ++i) {
+      EXPECT_EQ((*out)[i].ToString(), (*serial)[i].ToString()) << q;
+    }
+    if (iter % 2 == 0) {
+      EXPECT_EQ(out->size(), static_cast<size_t>(1 + iter % 7));
+    }
   }
 }
 

@@ -467,10 +467,11 @@ class PartitionedTraceTest : public ::testing::Test {
 TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedAndCacheTransitions) {
   // Plain integer ids cannot pin a table: the lookup consults all 10
   // partitions, recording one SQL statement per partition, and misses the
-  // cold cache.
+  // cold cache. At dop 4 the per-table statements fan out.
   QueryTrace cold;
   ExecOptions cold_opts;
   cold_opts.trace = &cold;
+  cold_opts.config = ExecConfig().parallelism(4);
   Result<std::vector<Traverser>> first = graph_->Execute("g.V(17)", cold_opts);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_EQ(first->size(), 1u);
